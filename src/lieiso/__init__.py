@@ -45,6 +45,8 @@ from .isometry import (
     IsometryGroupTag,
     KillingAlgebra,
     KillingGenerator,
+    MetricAnalysis,
+    analyze_metric,
     classify_isometry_group,
     killing_algebra,
     killing_bracket,
@@ -94,11 +96,13 @@ __all__ = [
     "KillingGenerator",
     "LieAlgebra3",
     "LieIsoError",
+    "MetricAnalysis",
     "ModuliScanResult",
     "NonPositiveDefiniteError",
     "RangeError",
     "SymmetryReport",
     "UnsupportedFamilyError",
+    "analyze_metric",
     "build_report",
     "classify_isometry_group",
     "constant_sectional",

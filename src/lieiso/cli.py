@@ -22,7 +22,6 @@ from dataclasses import replace
 import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
-from .curvature import curvature, levi_civita, ricci
 from .errors import (
     DegenerateFormError,
     NonPositiveDefiniteError,
@@ -35,7 +34,7 @@ from .groups import (
     numeric_ricci_frame,
     right_invariant_field,
 )
-from .isometry import killing_algebra
+from .isometry import analyze_metric, killing_algebra
 from .metrics import inner_product_from_gram, metric_from_table
 from .reports import (
     SCAN_COLUMNS,
@@ -217,9 +216,9 @@ def _check_metrics(points: int, seed: int, settings: EngineSettings, out: list[s
     for n, (family, c, params) in enumerate(cases):
         alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(c)
         g = metric_from_table(alg, settings=settings, **params)
-        conn = levi_civita(alg, g, settings)
-        ric = ricci(curvature(conn, alg))
-        ka = killing_algebra(alg, g, settings)
+        analysis = analyze_metric(alg, g, settings)
+        ric = analysis.ric
+        ka = killing_algebra(alg, g, settings, analysis)
         p = rng.uniform(-0.4, 0.4, size=3)
         checks = [
             ("ricci-fd", float(np.max(np.abs(numeric_ricci_frame(alg, g, p, settings) - ric))), 1e-3),

@@ -29,22 +29,14 @@ from .curvature import (
     ConnectionOperator,
     CovTensor,
     constant_sectional,
-    covariant_derivative,
-    curvature,
+    curvature_derivatives,
     levi_civita,
     ricci,
     so_action,
 )
 from .errors import InternalConsistencyError, UnsupportedFamilyError
 from .linalg import rank_and_kernel, canonical_matrix_basis
-from .metrics import (
-    InnerProduct,
-    SkewAlgebraBasis,
-    intersect_skew,
-    metric_from_table,
-    skew_algebra,
-    snap_parameters,
-)
+from .metrics import InnerProduct, intersect_skew, skew_algebra
 from .settings import DEFAULT, EngineSettings
 
 #: Tolerance for re-projecting Killing brackets onto the generator basis.
@@ -106,6 +98,7 @@ def singer_isotropy(
     *,
     settings: EngineSettings = DEFAULT,
     use_ricci_prefilter: bool = True,
+    tensors: tuple[CovTensor, CovTensor, CovTensor] | None = None,
 ) -> np.ndarray:
     """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
 
@@ -113,10 +106,12 @@ def singer_isotropy(
     prefilter enabled the search space is first cut down to the stabilizer of
     the Ricci form (which contains every solution, since Ricci is a curvature
     contraction); this never changes the answer and the tests assert as much.
+    ``tensors`` is (R, nabla R, nabla^2 R) of ``g`` when the caller already
+    has them; otherwise they are computed here.
     """
-    conn = levi_civita(alg, g, settings)
-    r = curvature(conn, alg)
-    tensors = [r, covariant_derivative(r, conn), covariant_derivative(covariant_derivative(r, conn), conn)]
+    if tensors is None:
+        tensors = curvature_derivatives(levi_civita(alg, g, settings), alg)
+    r = tensors[0]
 
     space = skew_algebra(g.coeffs, settings=settings)
     if use_ricci_prefilter:
@@ -157,6 +152,51 @@ def _normalize_isotropy(mats: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class MetricAnalysis:
+    """The data every classifier reads, computed once per metric.
+
+    ``symmetric`` is the one parallel-curvature decision (nabla R = 0 relative
+    to the size of R); ``isotropy`` is the Singer isotropy basis (k, 3, 3).
+    """
+
+    alg: LieAlgebra3
+    g: InnerProduct
+    settings: EngineSettings
+    conn: ConnectionOperator
+    curv: CovTensor
+    nabla_r: CovTensor
+    nabla2_r: CovTensor
+    ric: np.ndarray
+    symmetric: bool
+    isotropy: np.ndarray
+
+    def checked(self, alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings) -> MetricAnalysis:
+        """This analysis, after checking that it was built from (alg, g, settings)."""
+        if self.alg is not alg or self.g is not g or self.settings != settings:
+            raise ValueError("the analysis was built for a different algebra, metric or settings")
+        return self
+
+
+def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT) -> MetricAnalysis:
+    """Connection, R, nabla R, nabla^2 R, Ricci and isotropy of one metric."""
+    conn = levi_civita(alg, g, settings)
+    tensors = tuple(curvature_derivatives(conn, alg))
+    curv, nabla_r, nabla2_r = tensors
+    return MetricAnalysis(
+        alg=alg,
+        g=g,
+        settings=settings,
+        conn=conn,
+        curv=curv,
+        nabla_r=nabla_r,
+        nabla2_r=nabla2_r,
+        ric=ricci(curv),
+        symmetric=nabla_r.norm() <= 1e-9 * max(1.0, curv.norm()),
+        isotropy=singer_isotropy(alg, g, settings=settings, tensors=tensors),
+    )
+
+
+@dataclass(frozen=True)
 class KillingAlgebra:
     generators: tuple[KillingGenerator, ...]
     structure: np.ndarray  # structure[a, b, m]: coefficient of generator m in [gen_a, gen_b]
@@ -171,16 +211,21 @@ class KillingAlgebra:
         return tuple(gen.label for gen in self.generators)
 
 
-def killing_algebra(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT) -> KillingAlgebra:
+def killing_algebra(
+    alg: LieAlgebra3,
+    g: InnerProduct,
+    settings: EngineSettings = DEFAULT,
+    analysis: MetricAnalysis | None = None,
+) -> KillingAlgebra:
     """Full Killing algebra: right-invariant generators plus isotropy.
 
     Generators are ordered (r0, r1, r2, A1, ..., Ak).  Every pairwise bracket
     is re-expanded in the basis; a projection residual above CLOSURE_TOL
     raises InternalConsistencyError since the Killing algebra must close.
+    ``analysis`` is ``analyze_metric(alg, g, settings)`` if the caller has it.
     """
-    conn = levi_civita(alg, g, settings)
-    curv = curvature(conn, alg)
-    iso = singer_isotropy(alg, g, settings=settings)
+    a = analyze_metric(alg, g, settings) if analysis is None else analysis.checked(alg, g, settings)
+    conn, curv, iso = a.conn, a.curv, a.isotropy
 
     gens = [
         KillingGenerator(v=np.eye(3)[i], b=right_invariant_b(alg, conn, np.eye(3)[i]), label=f"r{i}")
@@ -244,7 +289,10 @@ def _ricci_product_signature(g: InnerProduct, conn: ConnectionOperator, ric: np.
 
 
 def classify_isometry_group(
-    alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT
+    alg: LieAlgebra3,
+    g: InnerProduct,
+    settings: EngineSettings = DEFAULT,
+    analysis: MetricAnalysis | None = None,
 ) -> IsometryDescriptor:
     """Classify the identity component of the isometry group.
 
@@ -254,20 +302,14 @@ def classify_isometry_group(
       k = 1 otherwise: the group itself times a circle of isotropies
       k = 0: only the simply transitive translations
     k = 2 is impossible and raises InternalConsistencyError.
+    ``analysis`` is ``analyze_metric(alg, g, settings)`` if the caller has it.
     """
     if alg.family not in (FAMILY_I, FAMILY_C):
         raise UnsupportedFamilyError("classification requires family I or c")
-    g, snapped = _resnap_metric(alg, g, settings)
-
-    conn = levi_civita(alg, g, settings)
-    curv = curvature(conn, alg)
-    nabla_r = covariant_derivative(curv, conn)
-    scale = max(1.0, curv.norm())
-    symmetric = nabla_r.norm() <= 1e-9 * scale
-
-    iso = singer_isotropy(alg, g, settings=settings)
+    a = analyze_metric(alg, g, settings) if analysis is None else analysis.checked(alg, g, settings)
+    symmetric, iso = a.symmetric, a.isotropy
     k = len(iso)
-    sec = constant_sectional(curv, g, tol=settings.tol_rank * 1e3)
+    sec = constant_sectional(a.curv, g, tol=settings.tol_rank * 1e3)
 
     if k == 2:
         raise InternalConsistencyError("isotropy dimension 2 cannot occur in dimension 3")
@@ -279,8 +321,7 @@ def classify_isometry_group(
         tag = IsometryGroupTag.SO31
     elif k == 1:
         if symmetric:
-            ric = ricci(curv)
-            if not _ricci_product_signature(g, conn, ric):
+            if not _ricci_product_signature(g, a.conn, a.ric):
                 raise InternalConsistencyError(
                     "parallel curvature with 1-dimensional isotropy must be a metric product"
                 )
@@ -299,23 +340,5 @@ def classify_isometry_group(
         isotropy_generators=iso,
         symmetric_space=symmetric,
         sectional_constant=sec,
-        boundary_snapped=snapped or g.boundary_snapped,
+        boundary_snapped=g.boundary_snapped,
     )
-
-
-def _resnap_metric(
-    alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings
-) -> tuple[InnerProduct, bool]:
-    """Rebuild a catalog metric whose parameters sit within tol_case of a
-    stratum boundary; pass anything else through untouched."""
-    if not g.params:
-        return g, False
-    snapped_params, moved = snap_parameters(alg, g.name, g.params, settings)
-    if not moved:
-        return g, False
-    kwargs = {"nu": snapped_params["nu"]}
-    if "mu" in snapped_params:
-        kwargs["mu"] = snapped_params["mu"]
-    if "lam" in snapped_params:
-        kwargs["lam"] = snapped_params["lam"]
-    return metric_from_table(alg, settings=settings, **kwargs), True

@@ -30,6 +30,12 @@ def rank_and_kernel(
     pass the natural scale of the data the matrix was built from; otherwise
     rounding noise is mistaken for full rank.  A matrix at scale zero has
     rank 0 and full kernel.
+
+    The SVD is thin when ``m`` has at least as many rows as columns: ``vt``
+    is then square and already spans the whole null space, and the large
+    ``U`` of a tall matrix (such as the stacked Singer constraints) is never
+    built.  A wide matrix gets the full SVD, because its thin ``vt`` would
+    drop null vectors.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     ncols = m.shape[1]
@@ -37,7 +43,7 @@ def rank_and_kernel(
         scale = float(np.max(np.abs(m))) if m.size else 0.0
     if scale <= 0.0:
         return 0, np.eye(ncols)
-    _, s, vt = np.linalg.svd(m)
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < ncols)
     rank = int(np.sum(s > tol_rank * scale))
     return rank, vt[rank:]
 

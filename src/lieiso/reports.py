@@ -16,18 +16,14 @@ import numpy as np
 from .algebra import FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
 from .curvature import (
     constant_sectional,
-    covariant_derivative,
-    curvature,
     first_bianchi_defect,
-    levi_civita,
     metric_compatibility_defect,
-    ricci,
     scalar_curvature,
     second_bianchi_defect,
     torsion_defect,
 )
 from .errors import InternalConsistencyError
-from .isometry import CLOSURE_TOL, classify_isometry_group, killing_algebra, killing_form
+from .isometry import CLOSURE_TOL, analyze_metric, classify_isometry_group, killing_algebra, killing_form
 from .metrics import InnerProduct
 from .settings import DEFAULT, EngineSettings
 from .symmetry import (
@@ -69,17 +65,15 @@ def build_report(
     alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT
 ) -> dict[str, Any]:
     """Full classification report for one left-invariant metric."""
-    conn = levi_civita(alg, g, settings)
-    curv = curvature(conn, alg)
-    ric = ricci(curv)
+    analysis = analyze_metric(alg, g, settings)
+    conn, curv, ric = analysis.conn, analysis.curv, analysis.ric
     scal = scalar_curvature(ric, g)
     const = constant_sectional(curv, g)
-    nabla_r = covariant_derivative(curv, conn)
 
-    descriptor = classify_isometry_group(alg, g, settings)
-    ka = killing_algebra(alg, g, settings)
+    descriptor = classify_isometry_group(alg, g, settings, analysis)
+    ka = killing_algebra(alg, g, settings, analysis)
     form, eigenvalues = killing_form(ka)
-    sym = index_of_symmetry(alg, g, settings)
+    sym = index_of_symmetry(alg, g, settings, analysis)
 
     residuals = {
         "torsion": torsion_defect(conn, alg),
@@ -99,7 +93,7 @@ def build_report(
                 "c": alg.c,
                 "metric": g.name,
                 "params": dict(g.params),
-                "boundary_snapped": bool(g.boundary_snapped or descriptor.boundary_snapped),
+                "boundary_snapped": bool(g.boundary_snapped),
                 "tolerances": {
                     "tol_rank": settings.tol_rank,
                     "tol_case": settings.tol_case,
@@ -134,13 +128,22 @@ def build_report(
                 name: {"value": float(value), "tol": RESIDUAL_TOLS[name]}
                 for name, value in residuals.items()
             },
-            "nabla_curvature_norm": float(nabla_r.norm()),
+            "nabla_curvature_norm": float(analysis.nabla_r.norm()),
         }
     )
 
 
+def _json_default(obj: Any) -> Any:
+    """Convert the numpy values the JSON encoder meets; anything else is an error."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def to_json(obj: Any) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _fmt(x: float) -> str:

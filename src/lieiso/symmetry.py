@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
-from .curvature import covariant_derivative, curvature, levi_civita
 from .errors import InternalConsistencyError, UnsupportedFamilyError
-from .isometry import classify_isometry_group, right_invariant_b, singer_isotropy
+from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group, right_invariant_b
 from .linalg import rank_and_kernel
 from .metrics import InnerProduct, METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table
 from .settings import DEFAULT, EngineSettings
@@ -54,21 +53,22 @@ class SymmetryReport:
 
 
 def index_of_symmetry(
-    alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT
+    alg: LieAlgebra3,
+    g: InnerProduct,
+    settings: EngineSettings = DEFAULT,
+    analysis: MetricAnalysis | None = None,
 ) -> SymmetryReport:
     """Dimension of the distribution of symmetry at the identity.
 
     Solves B_v + sum_j alpha_j A_j = 0 over (v, alpha).  The isotropy
     generators are linearly independent, so the kernel projects injectively
-    onto v-space and its dimension equals the index.
+    onto v-space and its dimension equals the index.  ``analysis`` is
+    ``analyze_metric(alg, g, settings)`` if the caller has it.
     """
-    conn = levi_civita(alg, g, settings)
-    curv = curvature(conn, alg)
-    nabla_r = covariant_derivative(curv, conn)
-    symmetric = nabla_r.norm() <= 1e-9 * max(1.0, curv.norm())
-
-    iso = singer_isotropy(alg, g, settings=settings)
-    cols = [right_invariant_b(alg, conn, np.eye(3)[i]).ravel() for i in range(3)]
+    a = analyze_metric(alg, g, settings) if analysis is None else analysis.checked(alg, g, settings)
+    symmetric, iso = a.symmetric, a.isotropy
+    b_basis = [right_invariant_b(alg, a.conn, np.eye(3)[i]) for i in range(3)]
+    cols = [b.ravel() for b in b_basis]
     cols += [mat.ravel() for mat in iso]
     m = np.stack(cols, axis=1)
     _, kernel = rank_and_kernel(m, settings.tol_rank)
@@ -87,7 +87,7 @@ def index_of_symmetry(
         worst = 0.0
         for vec in kernel:
             combo = sum(vec[3 + j] * iso[j] for j in range(len(iso))) if len(iso) else 0.0
-            b_v = sum(vec[i] * right_invariant_b(alg, conn, np.eye(3)[i]) for i in range(3))
+            b_v = sum(vec[i] * b_basis[i] for i in range(3))
             worst = max(worst, float(np.max(np.abs(b_v + combo))))
         residual = worst
         if residual > CERTIFICATE_TOL:
@@ -331,8 +331,9 @@ def scan_moduli(
     points: list[ScanPoint] = []
     for name, params in jobs:
         g = metric_for_params(alg, name, params, settings)
-        report = index_of_symmetry(alg, g, settings)
-        descriptor = classify_isometry_group(alg, g, settings)
+        analysis = analyze_metric(alg, g, settings)
+        report = index_of_symmetry(alg, g, settings, analysis)
+        descriptor = classify_isometry_group(alg, g, settings, analysis)
         points.append(
             ScanPoint(
                 metric_name=name,
