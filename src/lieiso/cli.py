@@ -48,7 +48,7 @@ from .reports import (
     to_json,
 )
 from .settings import DEFAULT, TOL_RANK_ENV, EngineSettings
-from .symmetry import equality_asserted_for, scan_moduli
+from .symmetry import scan_moduli
 
 #: Representative groups covering every stratification row.
 DEFAULT_GROUPS: list[tuple[str, float | None]] = [
@@ -240,9 +240,7 @@ def _check_symmetry(settings: EngineSettings, out: list[str]) -> bool:
     ok = True
     for family, c in DEFAULT_GROUPS:
         result = scan_moduli(family, c, grid_mu=7, grid_nu=2, settings=settings)
-        good = result.containment_ok and (
-            result.equality_observed or not equality_asserted_for(family, c)
-        )
+        good = result.passed
         ok &= good
         tag = "ok  " if good else "FAIL"
         label = f"{family}" + ("" if c is None else f" c={c:+.3f}")

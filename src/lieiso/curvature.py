@@ -171,7 +171,8 @@ def first_bianchi_defect(curv: CovTensor) -> float:
     return float(np.max(np.abs(cyc)))
 
 
-def second_bianchi_defect(curv: CovTensor, conn: ConnectionOperator) -> float:
-    d = covariant_derivative(curv, conn).comps  # d[a, i, j, k, l]
+def second_bianchi_defect(nabla_r: CovTensor) -> float:
+    """Max norm of the cyclic sum of nabla R over its first three slots."""
+    d = nabla_r.comps  # d[a, i, j, k, l]
     cyc = d + d.transpose(1, 2, 0, 3, 4) + d.transpose(2, 0, 1, 3, 4)
     return float(np.max(np.abs(cyc)))

@@ -97,15 +97,14 @@ def singer_isotropy(
     g: InnerProduct,
     *,
     settings: EngineSettings = DEFAULT,
-    use_ricci_prefilter: bool = True,
     tensors: tuple[CovTensor, CovTensor, CovTensor] | None = None,
 ) -> np.ndarray:
     """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
 
-    Solves the Singer conditions on the metric-skew algebra.  With the
-    prefilter enabled the search space is first cut down to the stabilizer of
-    the Ricci form (which contains every solution, since Ricci is a curvature
-    contraction); this never changes the answer and the tests assert as much.
+    Solves the Singer conditions on the metric-skew algebra.  The search
+    space is first cut down to the stabilizer of the Ricci form (which
+    contains every solution, since Ricci is a curvature contraction); this
+    never changes the answer and the tests assert as much.
     ``tensors`` is (R, nabla R, nabla^2 R) of ``g`` when the caller already
     has them; otherwise they are computed here.
     """
@@ -114,10 +113,8 @@ def singer_isotropy(
     r = tensors[0]
 
     space = skew_algebra(g.coeffs, settings=settings)
-    if use_ricci_prefilter:
-        ric = ricci(r)
-        ric_stab = skew_algebra(ric, allow_degenerate=True, settings=settings)
-        space = intersect_skew(space, ric_stab, settings)
+    ric_stab = skew_algebra(ricci(r), allow_degenerate=True, settings=settings)
+    space = intersect_skew(space, ric_stab, settings)
     if space.dim == 0:
         return np.zeros((0, 3, 3))
 

@@ -5,6 +5,8 @@ automorphism, to one of a short catalog of Gram matrices in the (e0, e1, e2)
 basis.  ``metric_from_table`` builds those Gram matrices and validates the
 parameter ranges; arbitrary SPD Gram matrices can be wrapped with
 ``inner_product_from_gram`` and flow through the generic machinery.
+``stratum_table`` gives the strata of each group: their boundary lines (the
+snap targets), keys and singular locus.
 
 Catalog (nu > 0 throughout):
 
@@ -23,7 +25,9 @@ Catalog (nu > 0 throughout):
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +92,114 @@ def mid_c_gram_closed_form(c: float, mu: float, nu: float) -> np.ndarray:
     return np.array([[g00, g01, 0.0], [g01, g11, 0.0], [0.0, 0.0, nu]])
 
 
+# Named tuples, not frozen dataclasses: every snap builds a table, and they
+# are built three times faster.
+class StratumSpec(NamedTuple):
+    """One stratum of a group's moduli space: one row of ``lieiso table``.
+
+    ``boundary`` is the value of mu on a line mu = const, None otherwise;
+    ``interior(n)`` gives n sample values of the sheet parameter of an open
+    stratum.
+    """
+
+    key: str
+    metric_name: str
+    constraint: str
+    boundary: float | None = None
+    singular: bool = False
+    interior: Callable[[int], Sequence[float]] | None = None
+
+
+#: The parameter that moves along each catalog sheet besides nu.
+SHEET_PARAMETER = {METRIC_MU_NU: "mu", METRIC_LAMBDA_NU: "lam"}
+
+
+class StratumTable(NamedTuple):
+    """The strata of one group in ``lieiso table`` order, and its scan data.
+
+    ``equality_asserted``: the maximal-index set is asserted to coincide with
+    the singular locus.  ``scan_mu(n)``: the base mu grid of a scan.
+    """
+
+    c: float | None
+    strata: tuple[StratumSpec, ...]
+    equality_asserted: bool
+    scan_mu: Callable[[int], Sequence[float]] | None = None
+
+    def lines(self) -> list[float]:
+        """Values of mu on the boundary lines, singular lines first."""
+        lines = [s for s in self.strata if s.boundary is not None]
+        return [s.boundary for s in sorted(lines, key=lambda s: not s.singular)]
+
+    def locate(self, g: InnerProduct) -> StratumSpec | None:
+        """The stratum of a catalog metric (None for any other metric).
+
+        Snapping puts a metric on a line exactly onto its boundary value, so
+        lines are matched by equality.
+        """
+        value = g.params.get(SHEET_PARAMETER.get(g.name))
+        sheet = [s for s in self.strata if s.metric_name == g.name]
+        on_line = [s for s in sheet if s.boundary is not None and s.boundary == value]
+        return next(iter(on_line or [s for s in sheet if s.boundary is None]), None)
+
+
+def stratum_table(family: str, c: float | None) -> StratumTable:
+    """The stratification of one group's moduli space.
+
+    The singular locus is the line mu = |c| (c < 0), the sheet g_nu (c = 0),
+    the line mu = 0 (0 < c < 1), the line mu = 1 where the second sheet glues
+    on at lam = 0 (c = 1) or the line mu = c (c > 1); family I has none.
+    """
+    if family == FAMILY_I:
+        return StratumTable(None, (StratumSpec("I:g_nu", METRIC_NU, "nu > 0"),), False)
+    if family != FAMILY_C or c is None:
+        raise UnsupportedFamilyError("strata are defined for families I and c")
+    c = float(c)
+    equality = True
+    if c < 0.0:
+        strata = (
+            StratumSpec("c<0:mu<|c|", METRIC_MU_NU, "0 < mu < |c|",
+                        interior=lambda n: [abs(c) * t for t in np.linspace(0.25, 0.85, n)]),
+            StratumSpec("c<0:mu=|c|", METRIC_MU_NU, "mu = |c|", abs(c), True),
+        )
+        scan_mu = lambda n: np.linspace(abs(c) / n, abs(c), n)
+    elif c == 0.0:
+        strata = (
+            StratumSpec("c=0:g_mu_nu", METRIC_MU_NU, "mu > 0", interior=lambda n: np.geomspace(0.5, 2.0, n)),
+            StratumSpec("c=0:g_nu", METRIC_NU, "nu > 0", singular=True),
+        )
+        scan_mu = lambda n: np.geomspace(0.4, 2.5, n)
+    elif c < 1.0:
+        root = math.sqrt(c)
+        strata = (
+            StratumSpec("0<c<1:mu=0", METRIC_MU_NU, "mu = 0", 0.0, True),
+            StratumSpec("0<c<1:mu generic", METRIC_MU_NU, "0 < mu < 1, mu != sqrt(c)",
+                        interior=lambda n: [m for m in np.linspace(0.1, 0.9, n + 1) if abs(m - root) > 1e-3][:n]),
+            StratumSpec("0<c<1:mu=sqrt(c)", METRIC_MU_NU, "mu = sqrt(c)", root),
+        )
+        scan_mu = lambda n: np.linspace(0.0, 0.95, n)
+        equality = False
+    elif c == 1.0:
+        strata = (
+            StratumSpec("c=1:mu<1", METRIC_MU_NU, "0 < mu < 1", interior=lambda n: np.linspace(0.3, 0.8, n)),
+            StratumSpec("c=1:mu=1", METRIC_MU_NU, "mu = 1", 1.0, True),
+            StratumSpec("c=1:g_lambda_nu", METRIC_LAMBDA_NU, "0 < lam < 1",
+                        interior=lambda n: np.linspace(0.2, 0.8, n)),
+        )
+        scan_mu = lambda n: np.linspace(1.0 / n, 1.0, n)
+    else:
+        special = (math.sqrt(c) - 1.0) ** 2 + 1.0
+        strata = (
+            StratumSpec("c>1:mu generic", METRIC_MU_NU, "1 < mu < c, mu != (sqrt(c)-1)^2+1",
+                        interior=lambda n: [m for m in np.linspace(1.0 + 0.1 * (c - 1.0), 1.0 + 0.9 * (c - 1.0), n + 1)
+                                            if abs(m - special) > 1e-3][:n]),
+            StratumSpec("c>1:mu special", METRIC_MU_NU, "mu = (sqrt(c)-1)^2+1", special),
+            StratumSpec("c>1:mu=c", METRIC_MU_NU, "mu = c", c, True),
+        )
+        scan_mu = lambda n: np.linspace(1.0 + (c - 1.0) / n, c, n)
+    return StratumTable(c, strata, equality, scan_mu)
+
+
 def _snap(value: float, targets: list[float], tol: float) -> tuple[float, bool]:
     for t in targets:
         if value != t and abs(value - t) < tol:
@@ -106,26 +218,16 @@ def snap_parameters(
     Classification strata are cut out by exact parameter coincidences
     (mu = |c|, mu = sqrt(c), mu = c, ...).  Parameters within ``tol_case`` of
     such a value are replaced by it, and the second return value records
-    whether anything moved.
+    whether anything moved.  The boundary lines of ``stratum_table`` are
+    tried singular line first; lam snaps onto 0, where the second c = 1
+    sheet glues onto the line mu = 1.
     """
-    if alg.family != FAMILY_C or "mu" not in params and "lam" not in params:
+    param = SHEET_PARAMETER.get(name)
+    if alg.family != FAMILY_C or param not in params:
         return dict(params), False
-    c = float(alg.c)
+    targets = [0.0] if name == METRIC_LAMBDA_NU else stratum_table(FAMILY_C, alg.c).lines()
     out = dict(params)
-    snapped = False
-    if name == METRIC_MU_NU and "mu" in params:
-        targets: list[float] = []
-        if c < 0.0:
-            targets = [abs(c)]
-        elif 0.0 < c < 1.0:
-            targets = [0.0, math.sqrt(c)]
-        elif c == 1.0:
-            targets = [1.0]
-        elif c > 1.0:
-            targets = [c, (math.sqrt(c) - 1.0) ** 2 + 1.0]
-        out["mu"], snapped = _snap(float(params["mu"]), targets, settings.tol_case)
-    elif name == METRIC_LAMBDA_NU and "lam" in params:
-        out["lam"], snapped = _snap(float(params["lam"]), [0.0], settings.tol_case)
+    out[param], snapped = _snap(float(params[param]), targets, settings.tol_case)
     return out, snapped
 
 
@@ -226,6 +328,15 @@ def _pivot_label(mat: np.ndarray) -> str:
     return "a??"
 
 
+def _skew_operator(s: np.ndarray) -> np.ndarray:
+    """vec(M^T S + S M) as a 9x9 linear operator on vec(M), row-major.
+
+    (M^T S)_ij = sum_k M_ki S_kj and (S M)_ij = sum_k S_ik M_kj.
+    """
+    eye = np.eye(3)
+    return (np.einsum("kj,li->ijkl", s, eye) + np.einsum("ik,lj->ijkl", s, eye)).reshape(9, 9)
+
+
 def skew_algebra(
     form: np.ndarray,
     *,
@@ -245,21 +356,7 @@ def skew_algebra(
     if rank < 3 and not allow_degenerate:
         raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
 
-    # vec(M^T S + S M) as a linear operator on vec(M), row-major flattening.
-    op = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            row = 3 * i + j
-            for k in range(3):
-                for l in range(3):
-                    col = 3 * k + l
-                    val = 0.0
-                    if l == i:
-                        val += s[k, j]  # (M^T S)_ij = sum_m M_mi S_mj
-                    if l == j:
-                        val += s[i, k]  # (S M)_ij  = sum_m S_im M_mj
-                    op[row, col] += val
-    _, kernel = rank_and_kernel(op, settings.tol_rank)
+    _, kernel = rank_and_kernel(_skew_operator(s), settings.tol_rank)
     mats = canonical_matrix_basis(kernel.reshape(-1, 3, 3))
     labels = tuple(_pivot_label(m) for m in mats)
     return SkewAlgebraBasis(mats=mats, labels=labels)

@@ -79,7 +79,7 @@ def build_report(
         "torsion": torsion_defect(conn, alg),
         "metric_compatibility": metric_compatibility_defect(conn, g),
         "first_bianchi": first_bianchi_defect(curv),
-        "second_bianchi": second_bianchi_defect(curv, conn),
+        "second_bianchi": second_bianchi_defect(analysis.nabla_r),
         "jacobi": alg.jacobi_defect(),
         "killing_closure": ka.closure_residual,
         "symmetry_certificate": sym.certificate_residual,

@@ -20,7 +20,6 @@ class EngineSettings:
 
     tol_rank: float = 1e-9
     tol_case: float = 1e-7
-    tol_jacobi: float = 1e-12
     fd_step: float = 1e-4
     fd_step_curvature: float = 1e-3
 

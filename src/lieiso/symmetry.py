@@ -9,14 +9,8 @@ structurally impossible and is treated as an internal error.
 
 The moduli space of left-invariant metrics up to isometric automorphism is,
 for each group, a low-dimensional parameter space (see ``metrics``).  Its
-topologically singular locus consists of:
-
-* family c, c < 0:     the boundary line mu = |c|
-* family c, c = 0:     the isolated one-parameter sheet g_nu
-* family c, 0 < c < 1: the boundary line mu = 0
-* family c, c = 1:     the gluing line mu = 1 (= lam -> 0 from the 2nd sheet)
-* family c, c > 1:     the boundary line mu = c
-* family I:            empty (the moduli space is a line)
+strata, boundary lines and topologically singular locus are given by
+``metrics.stratum_table``.
 
 The scan verifies that every singular point carries the maximal index of
 symmetry within its family (computed empirically from the scan itself), and
@@ -27,7 +21,6 @@ line mu = sqrt(c) is maximally symmetric but not a singular point).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +29,9 @@ from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3, make_algebra_c, make_algeb
 from .errors import InternalConsistencyError, UnsupportedFamilyError
 from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group, right_invariant_b
 from .linalg import rank_and_kernel
-from .metrics import InnerProduct, METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table
+from .metrics import (
+    SHEET_PARAMETER, InnerProduct, METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table,
+)
 from .settings import DEFAULT, EngineSettings
 
 #: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
@@ -127,49 +122,12 @@ def _nu_grid(n: int) -> list[float]:
 def strata_for_family(family: str, c: float | None, n: int = 3) -> list[Stratum]:
     """The symmetry strata of one group, with n sample points each."""
     nus = _nu_grid(n)
-    if family == FAMILY_I:
-        return [Stratum("I:g_nu", METRIC_NU, "nu > 0", tuple({"nu": nu} for nu in nus))]
-    if family != FAMILY_C or c is None:
-        raise UnsupportedFamilyError("strata are defined for families I and c")
-    c = float(c)
     out: list[Stratum] = []
-    if c < 0.0:
-        interior = [abs(c) * t for t in np.linspace(0.25, 0.85, n)]
-        out.append(Stratum("c<0:mu<|c|", METRIC_MU_NU, "0 < mu < |c|",
-                           tuple({"mu": m, "nu": nu} for m, nu in zip(interior, nus))))
-        out.append(Stratum("c<0:mu=|c|", METRIC_MU_NU, "mu = |c|",
-                           tuple({"mu": abs(c), "nu": nu} for nu in nus)))
-    elif c == 0.0:
-        out.append(Stratum("c=0:g_mu_nu", METRIC_MU_NU, "mu > 0",
-                           tuple({"mu": m, "nu": nu} for m, nu in zip(np.geomspace(0.5, 2.0, n), nus))))
-        out.append(Stratum("c=0:g_nu", METRIC_NU, "nu > 0", tuple({"nu": nu} for nu in nus)))
-    elif c < 1.0:
-        root = math.sqrt(c)
-        generic = [m for m in np.linspace(0.1, 0.9, n + 1) if abs(m - root) > 1e-3][:n]
-        out.append(Stratum("0<c<1:mu=0", METRIC_MU_NU, "mu = 0",
-                           tuple({"mu": 0.0, "nu": nu} for nu in nus)))
-        out.append(Stratum("0<c<1:mu generic", METRIC_MU_NU, "0 < mu < 1, mu != sqrt(c)",
-                           tuple({"mu": m, "nu": nu} for m, nu in zip(generic, nus))))
-        out.append(Stratum("0<c<1:mu=sqrt(c)", METRIC_MU_NU, "mu = sqrt(c)",
-                           tuple({"mu": root, "nu": nu} for nu in nus)))
-    elif c == 1.0:
-        interior = np.linspace(0.3, 0.8, n)
-        out.append(Stratum("c=1:mu<1", METRIC_MU_NU, "0 < mu < 1",
-                           tuple({"mu": m, "nu": nu} for m, nu in zip(interior, nus))))
-        out.append(Stratum("c=1:mu=1", METRIC_MU_NU, "mu = 1",
-                           tuple({"mu": 1.0, "nu": nu} for nu in nus)))
-        out.append(Stratum("c=1:g_lambda_nu", METRIC_LAMBDA_NU, "0 < lam < 1",
-                           tuple({"lam": l, "nu": nu} for l, nu in zip(np.linspace(0.2, 0.8, n), nus))))
-    else:
-        special = (math.sqrt(c) - 1.0) ** 2 + 1.0
-        generic = [m for m in np.linspace(1.0 + 0.1 * (c - 1.0), 1.0 + 0.9 * (c - 1.0), n + 1)
-                   if abs(m - special) > 1e-3][:n]
-        out.append(Stratum("c>1:mu generic", METRIC_MU_NU, "1 < mu < c, mu != (sqrt(c)-1)^2+1",
-                           tuple({"mu": m, "nu": nu} for m, nu in zip(generic, nus))))
-        out.append(Stratum("c>1:mu special", METRIC_MU_NU, "mu = (sqrt(c)-1)^2+1",
-                           tuple({"mu": special, "nu": nu} for nu in nus)))
-        out.append(Stratum("c>1:mu=c", METRIC_MU_NU, "mu = c",
-                           tuple({"mu": c, "nu": nu} for nu in nus)))
+    for s in stratum_table(family, c).strata:
+        param = SHEET_PARAMETER.get(s.metric_name)
+        values = [s.boundary] * n if s.interior is None else s.interior(n)
+        samples = tuple({param: v, "nu": nu} if param else {"nu": nu} for v, nu in zip(values, nus))
+        out.append(Stratum(s.key, s.metric_name, s.constraint, samples))
     return out
 
 
@@ -189,38 +147,9 @@ def table_row(
 ) -> tuple[int, str, np.ndarray | None]:
     """(index, stratum key, generator) for one metric."""
     report = index_of_symmetry(alg, g, settings)
-    return report.index, _stratum_key(alg, g, settings), report.generator
-
-
-def _stratum_key(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings) -> str:
-    tol = settings.tol_case
-    if alg.family == FAMILY_I:
-        return "I:g_nu"
-    c = float(alg.c)
-    if g.name == METRIC_NU:
-        return "c=0:g_nu"
-    if g.name == METRIC_LAMBDA_NU:
-        return "c=1:g_lambda_nu"
-    mu = g.params.get("mu")
-    if mu is None:
-        return "custom"
-    if c < 0.0:
-        return "c<0:mu=|c|" if abs(mu - abs(c)) <= tol else "c<0:mu<|c|"
-    if c == 0.0:
-        return "c=0:g_mu_nu"
-    if c < 1.0:
-        if mu <= tol:
-            return "0<c<1:mu=0"
-        if abs(mu - math.sqrt(c)) <= tol:
-            return "0<c<1:mu=sqrt(c)"
-        return "0<c<1:mu generic"
-    if c == 1.0:
-        return "c=1:mu=1" if abs(mu - 1.0) <= tol else "c=1:mu<1"
-    if abs(mu - c) <= tol:
-        return "c>1:mu=c"
-    if abs(mu - ((math.sqrt(c) - 1.0) ** 2 + 1.0)) <= tol:
-        return "c>1:mu special"
-    return "c>1:mu generic"
+    stratum = stratum_table(alg.family, alg.c).locate(g)
+    key = stratum.key if stratum is not None else ("I:g_nu" if alg.family == FAMILY_I else "custom")
+    return report.index, key, report.generator
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +185,10 @@ class ModuliScanResult:
         return ok
 
 
-def _on_singular_locus(family: str, c: float | None, name: str, params: dict[str, float], tol: float) -> bool:
-    if family == FAMILY_I:
-        return False
-    c = float(c)
-    if c < 0.0:
-        return name == METRIC_MU_NU and abs(params.get("mu", np.nan) - abs(c)) <= tol
-    if c == 0.0:
-        return name == METRIC_NU
-    if c < 1.0:
-        return name == METRIC_MU_NU and abs(params.get("mu", np.nan)) <= tol
-    if c == 1.0:
-        if name == METRIC_MU_NU:
-            return abs(params.get("mu", np.nan) - 1.0) <= tol
-        return abs(params.get("lam", np.nan)) <= tol
-    return name == METRIC_MU_NU and abs(params.get("mu", np.nan) - c) <= tol
-
-
 def equality_asserted_for(family: str, c: float | None) -> bool:
     """Whether the maximal-index set is asserted to coincide with the singular
     locus: true for every group except family I and family c with 0 < c < 1."""
-    if family == FAMILY_I:
-        return False
-    return not (0.0 < float(c) < 1.0)
+    return stratum_table(family, c).equality_asserted
 
 
 def scan_moduli(
@@ -303,28 +213,18 @@ def scan_moduli(
     else:
         raise UnsupportedFamilyError("scan requires family I or family c with a value of c")
 
+    table = stratum_table(family, c)
     nus = _nu_grid(grid_nu)
     jobs: list[tuple[str, dict[str, float]]] = []
     if family == FAMILY_I:
         jobs = [(METRIC_NU, {"nu": nu}) for nu in np.geomspace(0.4, 2.5, max(grid_mu, grid_nu))]
     else:
-        c = float(c)
-        if c < 0.0:
-            mus = sorted(set(np.linspace(abs(c) / grid_mu, abs(c), grid_mu)))
-        elif c == 0.0:
-            mus = list(np.geomspace(0.4, 2.5, grid_mu))
-        elif c < 1.0:
-            mus = sorted(set(np.linspace(0.0, 0.95, grid_mu)) | {0.0, math.sqrt(c)})
-        elif c == 1.0:
-            mus = sorted(set(np.linspace(1.0 / grid_mu, 1.0, grid_mu)) | {1.0})
-        else:
-            special = (math.sqrt(c) - 1.0) ** 2 + 1.0
-            mus = sorted(set(np.linspace(1.0 + (c - 1.0) / grid_mu, c, grid_mu)) | {special, c})
-        for mu in mus:
+        sheets = {s.metric_name for s in table.strata}
+        for mu in sorted(set(table.scan_mu(grid_mu)) | set(table.lines())):
             jobs += [(METRIC_MU_NU, {"mu": float(mu), "nu": nu}) for nu in nus]
-        if c == 0.0:
+        if METRIC_NU in sheets:
             jobs += [(METRIC_NU, {"nu": nu}) for nu in nus]
-        if c == 1.0:
+        if METRIC_LAMBDA_NU in sheets:
             jobs += [(METRIC_LAMBDA_NU, {"lam": float(l), "nu": nu})
                      for l in np.linspace(0.15, 0.85, max(grid_mu // 2, 2)) for nu in nus]
 
@@ -334,14 +234,15 @@ def scan_moduli(
         analysis = analyze_metric(alg, g, settings)
         report = index_of_symmetry(alg, g, settings, analysis)
         descriptor = classify_isometry_group(alg, g, settings, analysis)
+        stratum = table.locate(g)
         points.append(
             ScanPoint(
                 metric_name=name,
                 params=params,
                 index=report.index,
                 group_tag=descriptor.group_tag.value,
-                stratum=_stratum_key(alg, g, settings),
-                on_singular_locus=_on_singular_locus(family, c, name, params, settings.tol_case),
+                stratum=stratum.key,
+                on_singular_locus=stratum.singular,
                 generator=tuple(report.generator) if report.generator is not None else None,
             )
         )
@@ -352,11 +253,11 @@ def scan_moduli(
     witnesses = tuple(pt for pt in maximal if not pt.on_singular_locus)
     return ModuliScanResult(
         family=family,
-        c=c if family == FAMILY_C else None,
+        c=table.c,
         points=tuple(points),
         max_index=max_index,
         containment_ok=containment_ok,
-        equality_asserted=equality_asserted_for(family, c),
+        equality_asserted=table.equality_asserted,
         equality_observed=len(witnesses) == 0,
         witnesses=witnesses,
     )

@@ -323,4 +323,4 @@ def test_accept_10_structural_identities_randomized():
             assert torsion_defect(conn, alg) <= 1e-12
             assert metric_compatibility_defect(conn, g) <= 1e-10
             assert first_bianchi_defect(curv) <= 1e-9
-            assert second_bianchi_defect(curv, conn) <= 1e-9
+            assert second_bianchi_defect(covariant_derivative(curv, conn)) <= 1e-9

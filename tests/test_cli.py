@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lieiso.cli import main
+from lieiso.cli import DEFAULT_GROUPS, main
 from lieiso.reports import SCAN_COLUMNS, TABLE_COLUMNS
 
 
@@ -248,3 +249,26 @@ def test_boundary_snap_is_reported(capsys):
     report = json.loads(out)
     assert report["input"]["boundary_snapped"] is True
     assert report["isometry"]["group_tag"] == "SO31"
+
+
+# Output of `lieiso table` and `lieiso scan --format csv`, byte for byte, as
+# printed before the stratum decisions were gathered into one table.
+CLI_GOLDENS = Path(__file__).parent / "cli_goldens"
+
+
+def test_table_matches_golden_bytes(capsys):
+    code, out, _ = run_cli(capsys, "table")
+    assert code == 0
+    assert out == (CLI_GOLDENS / "table.csv").read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("grid", [5, 7])
+@pytest.mark.parametrize("family,c", DEFAULT_GROUPS)
+def test_scan_csv_matches_golden_bytes(capsys, family, c, grid):
+    argv = ["scan", "--family", family, "--grid", str(grid), "--format", "csv"]
+    if c is not None:
+        argv += ["--c", f"{c:g}"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    name = f"scan_{family}{'' if c is None else f'{c:g}'}_grid{grid}.csv"
+    assert out == (CLI_GOLDENS / name).read_bytes().decode("utf-8")

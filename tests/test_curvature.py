@@ -154,7 +154,7 @@ def test_connection_and_curvature_identities(alg, kwargs):
     assert torsion_defect(conn, alg) <= 1e-13
     assert metric_compatibility_defect(conn, g) <= 1e-12
     assert first_bianchi_defect(curv) <= 1e-11
-    assert second_bianchi_defect(curv, conn) <= 1e-11
+    assert second_bianchi_defect(covariant_derivative(curv, conn)) <= 1e-11
     # antisymmetry in the plane arguments
     np.testing.assert_allclose(
         curv.comps, -curv.comps.transpose(1, 0, 2, 3), atol=1e-13

@@ -8,6 +8,7 @@ from lieiso.metrics import (
     METRIC_LAMBDA_NU,
     METRIC_MU_NU,
     METRIC_NU,
+    _skew_operator,
     inner_product_from_gram,
     metric_from_table,
     mid_c_gram_closed_form,
@@ -199,3 +200,40 @@ def test_skew_algebra_dimension_three_for_random_spd(entries):
     assert space.dim == 3
     for m in space.mats:
         np.testing.assert_allclose(m.T @ gram + gram @ m, np.zeros((3, 3)), atol=1e-8)
+
+
+def test_snap_tries_the_singular_line_first():
+    # Near c = 1 the lines mu = c and mu = (sqrt(c)-1)^2+1 are both within
+    # tol_case; the singular line mu = c wins.
+    alg = make_algebra_c(1.0 + 1e-8)
+    params, moved = snap_parameters(alg, METRIC_MU_NU, {"mu": 1.0 + 5e-9, "nu": 1.0})
+    assert moved and params["mu"] == alg.c
+
+
+def _skew_operator_loop(s):
+    op = np.zeros((9, 9))
+    for i in range(3):
+        for j in range(3):
+            row = 3 * i + j
+            for k in range(3):
+                for l in range(3):
+                    col = 3 * k + l
+                    val = 0.0
+                    if l == i:
+                        val += s[k, j]  # (M^T S)_ij = sum_m M_mi S_mj
+                    if l == j:
+                        val += s[i, k]  # (S M)_ij  = sum_m S_im M_mj
+                    op[row, col] += val
+    return op
+
+
+def test_skew_operator_matches_the_loop():
+    rng = np.random.default_rng(0)
+    forms = [np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3)), -np.eye(3)]
+    for _ in range(500):
+        a = rng.normal(size=(3, 3)) * rng.integers(0, 2, size=(3, 3))
+        forms.append(0.5 * (a + a.T))
+    for s in forms:
+        want, got = _skew_operator_loop(s), _skew_operator(s)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

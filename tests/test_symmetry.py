@@ -253,3 +253,17 @@ def test_scan_rejects_bad_family():
         scan_moduli("c")
     with pytest.raises(UnsupportedFamilyError):
         scan_moduli("spin", 1.0)
+
+
+def test_stratum_key_follows_the_snapped_parameters():
+    # mu = tol_case is not snapped onto mu = 0, so it lies in the open
+    # stratum and its key must say so; anything closer is snapped.
+    alg = make_algebra_c(0.25)
+    g = metric_from_table(alg, mu=1e-7, nu=1.0)
+    assert not g.boundary_snapped
+    index, key, _ = table_row(alg, g)
+    assert (key, index) == ("0<c<1:mu generic", 0)
+    g = metric_from_table(alg, mu=5e-8, nu=1.0)
+    assert g.boundary_snapped
+    index, key, _ = table_row(alg, g)
+    assert (key, index) == ("0<c<1:mu=0", 1)
