@@ -15,7 +15,6 @@ the arguments (and the seed, for ``verify``), never on time or machine.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -47,7 +46,7 @@ from .reports import (
     stratification_rows,
     to_json,
 )
-from .settings import DEFAULT, TOL_RANK_ENV, EngineSettings
+from .settings import DEFAULT, EngineSettings
 from .symmetry import scan_moduli
 
 #: Representative groups covering every stratification row.
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, default=None,
                        help="family-c parameter (determinant of the defining block)")
         p.add_argument("--tol-rank", type=float, default=None,
-                       help=f"relative rank cutoff (default {DEFAULT.tol_rank}; env {TOL_RANK_ENV})")
+                       help=f"relative rank cutoff (default {DEFAULT.tol_rank})")
         p.add_argument("--tol-case", type=float, default=None,
                        help=f"stratum-boundary snap tolerance (default {DEFAULT.tol_case})")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan a moduli space of metrics")
     add_common(p_scan, need_family=True)
     p_scan.add_argument("--format", choices=["csv", "json"], default="json")
-    p_scan.add_argument("--grid", type=int, default=None, help="set both grid sizes at once")
+    p_scan.add_argument("--grid", type=int, default=None,
+                        help="alias of --grid-mu: sets the mu/lambda grid, not the nu grid")
     p_scan.add_argument("--grid-mu", type=int, default=None, help="points along the mu/lambda direction")
     p_scan.add_argument("--grid-nu", type=int, default=None, help="points along the nu direction")
 
@@ -112,11 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _settings_from_args(args: argparse.Namespace) -> EngineSettings:
     settings = DEFAULT
-    tol_rank = args.tol_rank
-    if tol_rank is None and os.environ.get(TOL_RANK_ENV):
-        tol_rank = float(os.environ[TOL_RANK_ENV])
-    if tol_rank is not None:
-        settings = replace(settings, tol_rank=tol_rank)
+    if args.tol_rank is not None:
+        settings = replace(settings, tol_rank=args.tol_rank)
     if args.tol_case is not None:
         settings = replace(settings, tol_case=args.tol_case)
     return settings
@@ -218,7 +215,7 @@ def _check_metrics(points: int, seed: int, settings: EngineSettings, out: list[s
         g = metric_from_table(alg, settings=settings, **params)
         analysis = analyze_metric(alg, g, settings)
         ric = analysis.ric
-        ka = killing_algebra(alg, g, settings, analysis)
+        ka = killing_algebra(analysis)
         p = rng.uniform(-0.4, 0.4, size=3)
         checks = [
             ("ricci-fd", float(np.max(np.abs(numeric_ricci_frame(alg, g, p, settings) - ric))), 1e-3),
@@ -252,6 +249,8 @@ def _check_symmetry(settings: EngineSettings, out: list[str]) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace, settings: EngineSettings) -> int:
+    if args.points < 1:
+        raise RangeError(f"--points must be at least 1, got {args.points}")
     lines: list[str] = []
     ok = True
     if args.which in (None, "metrics"):

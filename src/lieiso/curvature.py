@@ -143,10 +143,10 @@ def covariant_derivative(t: CovTensor, conn: ConnectionOperator) -> CovTensor:
     return CovTensor(comps=out)
 
 
-def curvature_derivatives(conn: ConnectionOperator, alg: LieAlgebra3, orders: int = 2) -> list[CovTensor]:
-    """[R, nabla R, nabla^2 R, ...] up to the requested derivative order."""
+def curvature_derivatives(conn: ConnectionOperator, alg: LieAlgebra3) -> list[CovTensor]:
+    """[R, nabla R, nabla^2 R]: the curvature data the Singer conditions need."""
     tensors = [curvature(conn, alg)]
-    for _ in range(orders):
+    for _ in range(2):
         tensors.append(covariant_derivative(tensors[-1], conn))
     return tensors
 

@@ -111,10 +111,9 @@ def metric_field(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# finite differences (fourth-order central stencils)
+# finite differences (a fourth-order central stencil)
 
 _STENCIL_1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
-_STENCIL_2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # /(12 h^2)
 
 
 def _fd1(f, p: np.ndarray, axis: int, h: float):
@@ -125,16 +124,6 @@ def _fd1(f, p: np.ndarray, axis: int, h: float):
         term = w * np.asarray(f(q), float)
         acc = term if acc is None else acc + term
     return acc / (12.0 * h)
-
-
-def _fd2(f, p: np.ndarray, axis: int, h: float):
-    acc = None
-    for offset, w in _STENCIL_2:
-        q = np.array(p, float)
-        q[axis] += offset * h
-        term = w * np.asarray(f(q), float)
-        acc = term if acc is None else acc + term
-    return acc / (12.0 * h * h)
 
 
 def christoffels(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, h: float) -> np.ndarray:

@@ -93,27 +93,20 @@ def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: CovTensor) -
 
 
 def singer_isotropy(
-    alg: LieAlgebra3,
     g: InnerProduct,
-    *,
+    tensors: tuple[CovTensor, CovTensor, CovTensor],
     settings: EngineSettings = DEFAULT,
-    tensors: tuple[CovTensor, CovTensor, CovTensor] | None = None,
 ) -> np.ndarray:
     """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
 
-    Solves the Singer conditions on the metric-skew algebra.  The search
-    space is first cut down to the stabilizer of the Ricci form (which
-    contains every solution, since Ricci is a curvature contraction); this
-    never changes the answer and the tests assert as much.
-    ``tensors`` is (R, nabla R, nabla^2 R) of ``g`` when the caller already
-    has them; otherwise they are computed here.
+    Solves the Singer conditions on the metric-skew algebra of ``g``, given
+    its (R, nabla R, nabla^2 R) as ``tensors``.  The search space is first
+    cut down to the stabilizer of the Ricci form (which contains every
+    solution, since Ricci is a curvature contraction); this never changes
+    the answer and the tests assert as much.
     """
-    if tensors is None:
-        tensors = curvature_derivatives(levi_civita(alg, g, settings), alg)
-    r = tensors[0]
-
     space = skew_algebra(g.coeffs, settings=settings)
-    ric_stab = skew_algebra(ricci(r), allow_degenerate=True, settings=settings)
+    ric_stab = skew_algebra(ricci(tensors[0]), allow_degenerate=True, settings=settings)
     space = intersect_skew(space, ric_stab, settings)
     if space.dim == 0:
         return np.zeros((0, 3, 3))
@@ -167,12 +160,6 @@ class MetricAnalysis:
     symmetric: bool
     isotropy: np.ndarray
 
-    def checked(self, alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings) -> MetricAnalysis:
-        """This analysis, after checking that it was built from (alg, g, settings)."""
-        if self.alg is not alg or self.g is not g or self.settings != settings:
-            raise ValueError("the analysis was built for a different algebra, metric or settings")
-        return self
-
 
 def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT) -> MetricAnalysis:
     """Connection, R, nabla R, nabla^2 R, Ricci and isotropy of one metric."""
@@ -189,7 +176,7 @@ def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings =
         nabla2_r=nabla2_r,
         ric=ricci(curv),
         symmetric=nabla_r.norm() <= 1e-9 * max(1.0, curv.norm()),
-        isotropy=singer_isotropy(alg, g, settings=settings, tensors=tensors),
+        isotropy=singer_isotropy(g, tensors, settings),
     )
 
 
@@ -208,21 +195,14 @@ class KillingAlgebra:
         return tuple(gen.label for gen in self.generators)
 
 
-def killing_algebra(
-    alg: LieAlgebra3,
-    g: InnerProduct,
-    settings: EngineSettings = DEFAULT,
-    analysis: MetricAnalysis | None = None,
-) -> KillingAlgebra:
+def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     """Full Killing algebra: right-invariant generators plus isotropy.
 
     Generators are ordered (r0, r1, r2, A1, ..., Ak).  Every pairwise bracket
     is re-expanded in the basis; a projection residual above CLOSURE_TOL
     raises InternalConsistencyError since the Killing algebra must close.
-    ``analysis`` is ``analyze_metric(alg, g, settings)`` if the caller has it.
     """
-    a = analyze_metric(alg, g, settings) if analysis is None else analysis.checked(alg, g, settings)
-    conn, curv, iso = a.conn, a.curv, a.isotropy
+    alg, conn, curv, iso = a.alg, a.conn, a.curv, a.isotropy
 
     gens = [
         KillingGenerator(v=np.eye(3)[i], b=right_invariant_b(alg, conn, np.eye(3)[i]), label=f"r{i}")
@@ -285,12 +265,7 @@ def _ricci_product_signature(g: InnerProduct, conn: ConnectionOperator, ric: np.
     return parallel_defect <= 1e-8 * max(1.0, float(np.max(np.abs(conn.mats))))
 
 
-def classify_isometry_group(
-    alg: LieAlgebra3,
-    g: InnerProduct,
-    settings: EngineSettings = DEFAULT,
-    analysis: MetricAnalysis | None = None,
-) -> IsometryDescriptor:
+def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
     """Classify the identity component of the isometry group.
 
     Decision procedure on the Singer isotropy dimension k:
@@ -299,14 +274,12 @@ def classify_isometry_group(
       k = 1 otherwise: the group itself times a circle of isotropies
       k = 0: only the simply transitive translations
     k = 2 is impossible and raises InternalConsistencyError.
-    ``analysis`` is ``analyze_metric(alg, g, settings)`` if the caller has it.
     """
-    if alg.family not in (FAMILY_I, FAMILY_C):
+    if a.alg.family not in (FAMILY_I, FAMILY_C):
         raise UnsupportedFamilyError("classification requires family I or c")
-    a = analyze_metric(alg, g, settings) if analysis is None else analysis.checked(alg, g, settings)
-    symmetric, iso = a.symmetric, a.isotropy
+    g, symmetric, iso = a.g, a.symmetric, a.isotropy
     k = len(iso)
-    sec = constant_sectional(a.curv, g, tol=settings.tol_rank * 1e3)
+    sec = constant_sectional(a.curv, g, tol=a.settings.tol_rank * 1e3)
 
     if k == 2:
         raise InternalConsistencyError("isotropy dimension 2 cannot occur in dimension 3")

@@ -82,16 +82,6 @@ def canonical_matrix_basis(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.array([(rows[i] / rows[i, col]).reshape(3, 3) for col, i in pivots])
 
 
-def subspace_residual(basis: np.ndarray, v: np.ndarray) -> float:
-    """Distance from ``v`` to the span of ``basis`` (rows/matrices)."""
-    v = np.asarray(v, dtype=float).ravel()
-    if basis.size == 0:
-        return float(np.linalg.norm(v))
-    b = np.asarray(basis, dtype=float).reshape(len(basis), -1)
-    coeff, *_ = np.linalg.lstsq(b.T, v, rcond=None)
-    return float(np.linalg.norm(b.T @ coeff - v))
-
-
 def check_spd(gram: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     """Validate a symmetric positive-definite Gram matrix.
 

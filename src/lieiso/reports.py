@@ -24,16 +24,9 @@ from .curvature import (
 )
 from .errors import InternalConsistencyError
 from .isometry import CLOSURE_TOL, analyze_metric, classify_isometry_group, killing_algebra, killing_form
-from .metrics import InnerProduct
+from .metrics import InnerProduct, metric_from_table
 from .settings import DEFAULT, EngineSettings
-from .symmetry import (
-    CERTIFICATE_TOL,
-    ModuliScanResult,
-    index_of_symmetry,
-    metric_for_params,
-    strata_for_family,
-    table_row,
-)
+from .symmetry import CERTIFICATE_TOL, ModuliScanResult, index_of_symmetry, strata_for_family
 
 SCHEMA_VERSION = "1.0"
 
@@ -70,10 +63,10 @@ def build_report(
     scal = scalar_curvature(ric, g)
     const = constant_sectional(curv, g)
 
-    descriptor = classify_isometry_group(alg, g, settings, analysis)
-    ka = killing_algebra(alg, g, settings, analysis)
+    descriptor = classify_isometry_group(analysis)
+    ka = killing_algebra(analysis)
     form, eigenvalues = killing_form(ka)
-    sym = index_of_symmetry(alg, g, settings, analysis)
+    sym = index_of_symmetry(analysis)
 
     residuals = {
         "torsion": torsion_defect(conn, alg),
@@ -224,10 +217,10 @@ def stratification_rows(
         indices = []
         generator = None
         for params in stratum.sample_params:
-            g = metric_for_params(alg, stratum.metric_name, params, settings)
-            idx, _, gen = table_row(alg, g, settings)
-            indices.append(idx)
-            generator = gen if gen is not None else generator
+            g = metric_from_table(alg, **params, settings=settings)
+            report = index_of_symmetry(analyze_metric(alg, g, settings))
+            indices.append(report.index)
+            generator = report.generator if report.generator is not None else generator
         if len(set(indices)) != 1:
             raise InternalConsistencyError(
                 f"stratum {stratum.key} mixes symmetry indices {sorted(set(indices))}"

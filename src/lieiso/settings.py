@@ -25,6 +25,3 @@ class EngineSettings:
 
 
 DEFAULT = EngineSettings()
-
-#: Environment variable consulted by the CLI for a default rank cutoff.
-TOL_RANK_ENV = "LIEISO_TOL_RANK"

@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
-from .errors import InternalConsistencyError, UnsupportedFamilyError
+from .algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
+from .errors import InternalConsistencyError, RangeError, UnsupportedFamilyError
 from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group, right_invariant_b
 from .linalg import rank_and_kernel
-from .metrics import (
-    SHEET_PARAMETER, InnerProduct, METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table,
-)
+from .metrics import SHEET_PARAMETER, METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table
 from .settings import DEFAULT, EngineSettings
 
 #: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
@@ -47,26 +45,19 @@ class SymmetryReport:
     boundary_snapped: bool = False
 
 
-def index_of_symmetry(
-    alg: LieAlgebra3,
-    g: InnerProduct,
-    settings: EngineSettings = DEFAULT,
-    analysis: MetricAnalysis | None = None,
-) -> SymmetryReport:
+def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     """Dimension of the distribution of symmetry at the identity.
 
     Solves B_v + sum_j alpha_j A_j = 0 over (v, alpha).  The isotropy
     generators are linearly independent, so the kernel projects injectively
-    onto v-space and its dimension equals the index.  ``analysis`` is
-    ``analyze_metric(alg, g, settings)`` if the caller has it.
+    onto v-space and its dimension equals the index.
     """
-    a = analyze_metric(alg, g, settings) if analysis is None else analysis.checked(alg, g, settings)
     symmetric, iso = a.symmetric, a.isotropy
-    b_basis = [right_invariant_b(alg, a.conn, np.eye(3)[i]) for i in range(3)]
+    b_basis = [right_invariant_b(a.alg, a.conn, np.eye(3)[i]) for i in range(3)]
     cols = [b.ravel() for b in b_basis]
     cols += [mat.ravel() for mat in iso]
     m = np.stack(cols, axis=1)
-    _, kernel = rank_and_kernel(m, settings.tol_rank)
+    _, kernel = rank_and_kernel(m, a.settings.tol_rank)
     index = len(kernel)
 
     if index == 2:
@@ -98,7 +89,7 @@ def index_of_symmetry(
         generator=generator,
         symmetric_space=symmetric,
         certificate_residual=residual,
-        boundary_snapped=g.boundary_snapped,
+        boundary_snapped=a.g.boundary_snapped,
     )
 
 
@@ -129,27 +120,6 @@ def strata_for_family(family: str, c: float | None, n: int = 3) -> list[Stratum]
         samples = tuple({param: v, "nu": nu} if param else {"nu": nu} for v, nu in zip(values, nus))
         out.append(Stratum(s.key, s.metric_name, s.constraint, samples))
     return out
-
-
-def metric_for_params(
-    alg: LieAlgebra3, name: str, params: dict[str, float], settings: EngineSettings = DEFAULT
-) -> InnerProduct:
-    """Build the catalog metric named by a stratum/scan job."""
-    if name == METRIC_LAMBDA_NU:
-        return metric_from_table(alg, lam=params["lam"], nu=params["nu"], settings=settings)
-    if name == METRIC_MU_NU:
-        return metric_from_table(alg, mu=params["mu"], nu=params["nu"], settings=settings)
-    return metric_from_table(alg, nu=params["nu"], settings=settings)
-
-
-def table_row(
-    alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT
-) -> tuple[int, str, np.ndarray | None]:
-    """(index, stratum key, generator) for one metric."""
-    report = index_of_symmetry(alg, g, settings)
-    stratum = stratum_table(alg.family, alg.c).locate(g)
-    key = stratum.key if stratum is not None else ("I:g_nu" if alg.family == FAMILY_I else "custom")
-    return report.index, key, report.generator
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +155,6 @@ class ModuliScanResult:
         return ok
 
 
-def equality_asserted_for(family: str, c: float | None) -> bool:
-    """Whether the maximal-index set is asserted to coincide with the singular
-    locus: true for every group except family I and family c with 0 < c < 1."""
-    return stratum_table(family, c).equality_asserted
-
-
 def scan_moduli(
     family: str,
     c: float | None = None,
@@ -204,8 +168,10 @@ def scan_moduli(
     boundary lines (which is where the interesting strata live).  Scan points
     are pure functions of (family, c, params), so the grid could be evaluated
     in any order or in parallel; the result tuple is assembled in the fixed
-    order below either way.
+    order below either way.  Grid sizes below 1 raise RangeError.
     """
+    if grid_mu < 1 or grid_nu < 1:
+        raise RangeError(f"scan grid sizes must be at least 1, got grid_mu={grid_mu}, grid_nu={grid_nu}")
     if family == FAMILY_I:
         alg = make_algebra_I()
     elif family == FAMILY_C and c is not None:
@@ -230,10 +196,10 @@ def scan_moduli(
 
     points: list[ScanPoint] = []
     for name, params in jobs:
-        g = metric_for_params(alg, name, params, settings)
+        g = metric_from_table(alg, **params, settings=settings)
         analysis = analyze_metric(alg, g, settings)
-        report = index_of_symmetry(alg, g, settings, analysis)
-        descriptor = classify_isometry_group(alg, g, settings, analysis)
+        report = index_of_symmetry(analysis)
+        descriptor = classify_isometry_group(analysis)
         stratum = table.locate(g)
         points.append(
             ScanPoint(

@@ -36,18 +36,14 @@ from lieiso.groups import (
 )
 from lieiso.isometry import (
     IsometryGroupTag,
+    analyze_metric,
     classify_isometry_group,
     killing_algebra,
     killing_form,
     singer_isotropy,
 )
 from lieiso.metrics import metric_from_table
-from lieiso.symmetry import (
-    index_of_symmetry,
-    metric_for_params,
-    scan_moduli,
-    strata_for_family,
-)
+from lieiso.symmetry import index_of_symmetry, scan_moduli, strata_for_family
 
 GRID = [0.5, 1.0, 2.0]
 
@@ -105,13 +101,13 @@ def test_accept_02_isotropy_dimensions_and_generator():
         for mu in GRID:
             for nu in GRID:
                 g = metric_from_table(alg0, mu=mu, nu=nu)
-                iso = singer_isotropy(alg0, g)
+                tensors = curvature_derivatives(levi_civita(alg0, g), alg0)
+                iso = singer_isotropy(g, tensors)
                 assert len(iso) == 1
                 np.testing.assert_allclose(
                     iso[0], goldens.isotropy_generator_c0(mu, nu), atol=1e-9
                 )
-                conn = levi_civita(alg0, g)
-                for t in curvature_derivatives(conn, alg0, orders=2):
+                for t in tensors:
                     assert so_action(iso[0], t).norm() <= 1e-9 * max(1.0, t.norm())
         zero_dim = [
             (make_algebra_c(1.0), dict(mu=0.3, nu=1.0)),
@@ -130,7 +126,8 @@ def test_accept_02_isotropy_dimensions_and_generator():
         ]
         for alg, kwargs in zero_dim:
             g = metric_from_table(alg, **kwargs)
-            assert len(singer_isotropy(alg, g)) == 0, (alg.c, kwargs)
+            tensors = curvature_derivatives(levi_civita(alg, g), alg)
+            assert len(singer_isotropy(g, tensors)) == 0, (alg.c, kwargs)
 
 
 def test_accept_03_killing_bracket_table():
@@ -139,7 +136,7 @@ def test_accept_03_killing_bracket_table():
         for mu in GRID:
             for nu in GRID:
                 g = metric_from_table(alg, mu=mu, nu=nu)
-                ka = killing_algebra(alg, g)
+                ka = killing_algebra(analyze_metric(alg, g))
                 assert ka.dim == 4
                 expected = goldens.killing_bracket_table_c0(mu, nu)
                 for (a, b), coeffs in expected.items():
@@ -153,7 +150,7 @@ def test_accept_04_killing_form_eigenvalues():
         alg = make_algebra_c(0.0)
         for mu in GRID:
             g = metric_from_table(alg, mu=mu, nu=1.0)
-            _, eigs = killing_form(killing_algebra(alg, g))
+            _, eigs = killing_form(killing_algebra(analyze_metric(alg, g)))
             np.testing.assert_allclose(
                 eigs, goldens.killing_eigenvalues_c0(mu), atol=1e-9
             )
@@ -176,10 +173,10 @@ def test_accept_05_symmetric_cases_and_isometric_twins():
                     alg, g, np.array([0.2, -0.1, 0.3]),
                     np.array([1.0, 0.5, -0.2]), np.array([0.1, 1.0, 0.7]),
                 ) == pytest.approx(-1.0 / nu, abs=1e-4)
-                d = classify_isometry_group(alg, g)
+                d = classify_isometry_group(analyze_metric(alg, g))
                 assert d.group_tag is IsometryGroupTag.SO31
             g = metric_from_table(make_algebra_c(0.0), nu=nu)
-            d = classify_isometry_group(make_algebra_c(0.0), g)
+            d = classify_isometry_group(analyze_metric(make_algebra_c(0.0), g))
             assert d.group_tag is IsometryGroupTag.E1_X_SO21
             assert d.symmetric_space
         # two non-isomorphic groups with identical curvature reports
@@ -191,7 +188,7 @@ def test_accept_05_symmetric_cases_and_isometric_twins():
             }.items():
                 g, conn, curv = build(alg, **kwargs)
                 report[key] = (
-                    classify_isometry_group(alg, g).group_tag,
+                    classify_isometry_group(analyze_metric(alg, g)).group_tag,
                     round(constant_sectional(curv, g), 12),
                     round(scalar_curvature(ricci(curv), g), 12),
                     round(covariant_derivative(curv, conn).norm(), 12),
@@ -236,8 +233,8 @@ def test_accept_06_stratification_table_and_no_index_two():
             for stratum in strata_for_family("c", c, n=3):
                 seen.add(stratum.key)
                 for params in stratum.sample_params:
-                    g = metric_for_params(alg, stratum.metric_name, params)
-                    report = index_of_symmetry(alg, g)
+                    g = metric_from_table(alg, **params)
+                    report = index_of_symmetry(analyze_metric(alg, g))
                     assert report.index == EXPECTED_INDEX[stratum.key], (
                         stratum.key,
                         params,
@@ -255,7 +252,7 @@ def test_accept_06_stratification_table_and_no_index_two():
         for family, c, params in _random_cases(500, seed=0):
             alg = make_algebra_I() if family == "I" else make_algebra_c(c)
             g = metric_from_table(alg, **params)
-            report = index_of_symmetry(alg, g)
+            report = index_of_symmetry(analyze_metric(alg, g))
             assert report.index in (0, 1, 3)
 
 

@@ -4,7 +4,6 @@ import importlib
 import sys
 
 import numpy as np
-import pytest
 
 from lieiso.algebra import make_algebra_c
 from lieiso.isometry import analyze_metric, classify_isometry_group, killing_algebra
@@ -64,33 +63,21 @@ def test_table_solves_singer_once_per_sample(monkeypatch):
     assert len(singer) == 2 * 3  # two strata, three sample points each
 
 
-def test_shared_analysis_gives_the_same_answers():
+def test_shared_analysis_gives_the_same_answers(monkeypatch):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=0.7, nu=1.3)
     analysis = analyze_metric(alg, g)
     assert analysis.symmetric is False
     assert len(analysis.isotropy) == 1
-    shared = classify_isometry_group(alg, g, analysis=analysis)
-    alone = classify_isometry_group(alg, g)
-    assert shared.group_tag is alone.group_tag
-    np.testing.assert_array_equal(shared.isotropy_generators, alone.isotropy_generators)
-    np.testing.assert_array_equal(
-        killing_algebra(alg, g, analysis=analysis).structure, killing_algebra(alg, g).structure
-    )
-    sym_shared = index_of_symmetry(alg, g, analysis=analysis)
-    sym_alone = index_of_symmetry(alg, g)
-    assert sym_shared.index == sym_alone.index == 1
-    np.testing.assert_array_equal(sym_shared.generator, sym_alone.generator)
-
-
-def test_analysis_of_another_metric_is_rejected():
-    alg = make_algebra_c(0.25)
-    g = metric_from_table(alg, mu=0.5, nu=1.0)
-    other = metric_from_table(alg, mu=0.3, nu=1.0)
-    analysis = analyze_metric(alg, other)
-    with pytest.raises(ValueError):
-        classify_isometry_group(alg, g, analysis=analysis)
-    with pytest.raises(ValueError):
-        killing_algebra(alg, g, analysis=analysis)
-    with pytest.raises(ValueError):
-        index_of_symmetry(alg, g, analysis=analysis)
+    lc = _count_calls(monkeypatch, LEVI_CIVITA)
+    singer = _count_calls(monkeypatch, SINGER_ISOTROPY)
+    descriptor = classify_isometry_group(analysis)
+    ka = killing_algebra(analysis)
+    sym = index_of_symmetry(analysis)
+    assert lc == [] and singer == []  # the classifiers only read the analysis
+    assert descriptor.group_tag.value == "Product_SO2"
+    np.testing.assert_array_equal(descriptor.isotropy_generators, analysis.isotropy)
+    np.testing.assert_array_equal(ka.generators[3].b, analysis.isotropy[0])
+    assert sym.index == 1
+    np.testing.assert_allclose(sym.generator, [1.0, -0.5, 0.0], atol=1e-9)
+    assert descriptor.symmetric_space is sym.symmetric_space is analysis.symmetric

@@ -119,6 +119,24 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "c", "--c", "4", "--grid", "0"],
+        ["scan", "--family", "c", "--c", "1", "--grid-mu", "0"],
+        ["scan", "--family", "c", "--c", "-2", "--grid", "-1"],
+        ["scan", "--family", "c", "--c", "0.25", "--grid-nu", "0"],
+        ["scan", "--family", "c", "--c", "0.25", "--grid-nu", "-3"],
+        ["verify", "--which", "metrics", "--points", "0"],
+    ],
+)
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least 1" in err
+
+
 def test_table_csv_covers_all_strata(capsys):
     code, out, _ = run_cli(capsys, "table")
     assert code == 0
@@ -220,11 +238,7 @@ def test_outputs_are_deterministic(capsys):
     assert v1 == v2
 
 
-def test_tol_rank_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LIEISO_TOL_RANK", "1e-5")
-    _, out, _ = run_cli(capsys, "classify", "--family", "I", "--nu", "1", "--json")
-    assert json.loads(out)["input"]["tolerances"]["tol_rank"] == pytest.approx(1e-5)
-    # an explicit flag wins over the environment
+def test_tol_rank_flag_reaches_the_report(capsys):
     _, out, _ = run_cli(capsys, "classify", "--family", "I", "--nu", "1",
                         "--tol-rank", "1e-7", "--json")
     assert json.loads(out)["input"]["tolerances"]["tol_rank"] == pytest.approx(1e-7)

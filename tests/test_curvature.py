@@ -179,7 +179,7 @@ def test_curvature_derivatives_orders():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=1.0, nu=1.0)
     conn = levi_civita(alg, g)
-    tensors = curvature_derivatives(conn, alg, orders=2)
+    tensors = curvature_derivatives(conn, alg)
     assert [t.order for t in tensors] == [3, 4, 5]
     np.testing.assert_allclose(
         tensors[1].comps, covariant_derivative(tensors[0], conn).comps
@@ -195,7 +195,7 @@ def test_isotropy_generator_annihilates_curvature_jets(mu, nu):
     g = metric_from_table(alg, mu=mu, nu=nu)
     conn = levi_civita(alg, g)
     a = goldens.isotropy_generator_c0(mu, nu)
-    for t in curvature_derivatives(conn, alg, orders=2):
+    for t in curvature_derivatives(conn, alg):
         scale = max(1.0, t.norm())
         assert so_action(a, t).norm() <= 1e-9 * scale
 

@@ -8,6 +8,7 @@ from lieiso.isometry import (
     CLOSURE_TOL,
     IsometryGroupTag,
     KillingGenerator,
+    analyze_metric,
     classify_isometry_group,
     killing_algebra,
     killing_bracket,
@@ -23,12 +24,16 @@ from lieiso.settings import DEFAULT
 GRID = [0.5, 1.0, 2.0]
 
 
+def _isotropy(alg, g):
+    return singer_isotropy(g, curvature_derivatives(levi_civita(alg, g), alg))
+
+
 @pytest.mark.parametrize("mu", GRID)
 @pytest.mark.parametrize("nu", GRID)
 def test_c_zero_isotropy_generator(mu, nu):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=nu)
-    iso = singer_isotropy(alg, g)
+    iso = _isotropy(alg, g)
     assert len(iso) == 1
     np.testing.assert_allclose(
         iso[0], goldens.isotropy_generator_c0(mu, nu), atol=1e-9
@@ -51,7 +56,7 @@ def test_c_zero_isotropy_generator(mu, nu):
 )
 def test_trivial_isotropy_cases(alg, kwargs):
     g = metric_from_table(alg, **kwargs)
-    assert len(singer_isotropy(alg, g)) == 0
+    assert len(_isotropy(alg, g)) == 0
 
 
 @pytest.mark.parametrize("nu", GRID)
@@ -61,7 +66,7 @@ def test_full_isotropy_for_hyperbolic_metrics(nu):
         (make_algebra_c(4.0), dict(mu=4.0, nu=nu)),
     ]:
         g = metric_from_table(alg, **kwargs)
-        iso = singer_isotropy(alg, g)
+        iso = _isotropy(alg, g)
         assert len(iso) == 3
         # each generator is skew for g
         for a in iso:
@@ -89,7 +94,7 @@ def test_ricci_prefilter_does_not_change_the_answer():
         (make_algebra_I(), dict(nu=2.0)),
     ]:
         g = metric_from_table(alg, **kwargs)
-        with_filter = singer_isotropy(alg, g)
+        with_filter = _isotropy(alg, g)
         without = _singer_without_prefilter(alg, g)
         assert len(with_filter) == len(without)
         np.testing.assert_allclose(with_filter, without, atol=1e-9)
@@ -109,7 +114,7 @@ def test_right_invariant_b_equals_connection_endomorphism():
 def test_c_zero_killing_algebra_brackets(mu, nu):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=nu)
-    ka = killing_algebra(alg, g)
+    ka = killing_algebra(analyze_metric(alg, g))
     assert ka.dim == 4
     assert ka.labels == ("r0", "r1", "r2", "A1")
     assert ka.closure_residual <= CLOSURE_TOL
@@ -122,7 +127,7 @@ def test_c_zero_killing_algebra_brackets(mu, nu):
 def test_killing_algebra_structure_satisfies_jacobi():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=0.8, nu=1.7)
-    ka = killing_algebra(alg, g)
+    ka = killing_algebra(analyze_metric(alg, g))
     s = ka.structure
     d = np.einsum("ijm,mkl->ijkl", s, s)
     cyc = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
@@ -133,7 +138,7 @@ def test_killing_algebra_structure_satisfies_jacobi():
 def test_c_zero_killing_form_eigenvalues(mu):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=1.0)
-    _, eigs = killing_form(killing_algebra(alg, g))
+    _, eigs = killing_form(killing_algebra(analyze_metric(alg, g)))
     np.testing.assert_allclose(eigs, goldens.killing_eigenvalues_c0(mu), atol=1e-9)
 
 
@@ -142,7 +147,7 @@ def test_killing_form_spectra_distinguish_the_metrics():
     spectra = []
     for mu in GRID:
         g = metric_from_table(alg, mu=mu, nu=1.0)
-        _, eigs = killing_form(killing_algebra(alg, g))
+        _, eigs = killing_form(killing_algebra(analyze_metric(alg, g)))
         spectra.append(eigs)
     for i in range(len(spectra)):
         for j in range(i + 1, len(spectra)):
@@ -192,7 +197,7 @@ CLASSIFY_CASES = [
 @pytest.mark.parametrize("alg,kwargs,tag,iso_dim,symmetric", CLASSIFY_CASES)
 def test_classification(alg, kwargs, tag, iso_dim, symmetric):
     g = metric_from_table(alg, **kwargs)
-    d = classify_isometry_group(alg, g)
+    d = classify_isometry_group(analyze_metric(alg, g))
     assert d.group_tag is tag
     assert d.isotropy_dim == iso_dim
     assert d.total_dim == 3 + iso_dim
@@ -207,7 +212,7 @@ def test_classification(alg, kwargs, tag, iso_dim, symmetric):
 def test_classification_snaps_near_boundary():
     alg = make_algebra_c(4.0)
     g = metric_from_table(alg, mu=4.0 - 1e-8, nu=1.0)
-    d = classify_isometry_group(alg, g)
+    d = classify_isometry_group(analyze_metric(alg, g))
     assert d.group_tag is IsometryGroupTag.SO31
     assert d.boundary_snapped
 
@@ -220,8 +225,8 @@ def test_isometric_but_not_isomorphic_groups():
         g_a = metric_from_table(alg_a, nu=nu)
         alg_b = make_algebra_c(4.0)
         g_b = metric_from_table(alg_b, mu=4.0, nu=nu)
-        d_a = classify_isometry_group(alg_a, g_a)
-        d_b = classify_isometry_group(alg_b, g_b)
+        d_a = classify_isometry_group(analyze_metric(alg_a, g_a))
+        d_b = classify_isometry_group(analyze_metric(alg_b, g_b))
         assert d_a.group_tag is d_b.group_tag is IsometryGroupTag.SO31
         assert d_a.sectional_constant == pytest.approx(d_b.sectional_constant, abs=1e-10)
         assert d_a.symmetric_space and d_b.symmetric_space
@@ -246,8 +251,9 @@ def test_classify_rejects_custom_algebra():
     s[0, 2, 0] = -1.0
     alg = custom_algebra(s)
     g = inner_product_from_gram(np.eye(3))
+    analysis = analyze_metric(alg, g)
     with pytest.raises(UnsupportedFamilyError):
-        classify_isometry_group(alg, g)
+        classify_isometry_group(analysis)
 
 
 def test_killing_algebra_dims_follow_isotropy():
@@ -257,7 +263,7 @@ def test_killing_algebra_dims_follow_isotropy():
         (make_algebra_c(0.25), dict(mu=0.3, nu=1.0), 3),
     ]:
         g = metric_from_table(alg, **kwargs)
-        ka = killing_algebra(alg, g)
+        ka = killing_algebra(analyze_metric(alg, g))
         assert ka.dim == want
         assert ka.closure_residual <= CLOSURE_TOL
         form, eigs = killing_form(ka)

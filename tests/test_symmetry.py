@@ -5,22 +5,20 @@ import pytest
 
 from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.errors import UnsupportedFamilyError
-from lieiso.metrics import metric_from_table
-from lieiso.symmetry import (
-    CERTIFICATE_TOL,
-    equality_asserted_for,
-    index_of_symmetry,
-    metric_for_params,
-    scan_moduli,
-    strata_for_family,
-    table_row,
-)
+from lieiso.isometry import analyze_metric
+from lieiso.metrics import metric_from_table, stratum_table
+from lieiso.symmetry import CERTIFICATE_TOL, index_of_symmetry, scan_moduli, strata_for_family
 
 NUS = [0.5, 1.0, 2.0]
 
 
 def report_for(alg, **kwargs):
-    return index_of_symmetry(alg, metric_from_table(alg, **kwargs))
+    return index_of_symmetry(analyze_metric(alg, metric_from_table(alg, **kwargs)))
+
+
+def index_and_key(alg, g):
+    """The index of symmetry of g and the key of its stratum."""
+    return index_of_symmetry(analyze_metric(alg, g)).index, stratum_table(alg.family, alg.c).locate(g).key
 
 
 @pytest.mark.parametrize("nu", NUS)
@@ -190,8 +188,8 @@ def test_stratum_samples_reproduce_their_index(family, c):
     for stratum in strata_for_family(family, c):
         want = EXPECTED_STRATUM_INDEX[stratum.key]
         for params in stratum.sample_params:
-            g = metric_for_params(alg, stratum.metric_name, params)
-            index, key, _ = table_row(alg, g)
+            g = metric_from_table(alg, **params)
+            index, key = index_and_key(alg, g)
             assert key == stratum.key
             assert index == want, f"{stratum.key} at {params}"
 
@@ -208,7 +206,7 @@ def test_stratum_samples_reproduce_their_index(family, c):
     ],
 )
 def test_scan_containment_and_equality(family, c, equality):
-    assert equality_asserted_for(family, c) is equality
+    assert stratum_table(family, c).equality_asserted is equality
     result = scan_moduli(family, c, grid_mu=7, grid_nu=2)
     assert result.containment_ok
     assert result.equality_asserted is equality
@@ -261,9 +259,9 @@ def test_stratum_key_follows_the_snapped_parameters():
     alg = make_algebra_c(0.25)
     g = metric_from_table(alg, mu=1e-7, nu=1.0)
     assert not g.boundary_snapped
-    index, key, _ = table_row(alg, g)
+    index, key = index_and_key(alg, g)
     assert (key, index) == ("0<c<1:mu generic", 0)
     g = metric_from_table(alg, mu=5e-8, nu=1.0)
     assert g.boundary_snapped
-    index, key, _ = table_row(alg, g)
+    index, key = index_and_key(alg, g)
     assert (key, index) == ("0<c<1:mu=0", 1)
