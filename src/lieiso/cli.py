@@ -7,9 +7,10 @@ table      the symmetry stratification table (CSV or JSON)
 scan       audit a group's moduli space against its singular locus
 verify     self-checks: algebraic/numeric consistency and scan invariants
 
-Exit codes: 0 success, 1 verification failure, 2 parameter out of range or
-usage error, 3 invalid Gram matrix, 4 I/O failure.  Output depends only on
-the arguments (and the seed, for ``verify``), never on time or machine.
+Exit codes: 0 success, 1 verification failure or failed internal
+consistency check, 2 parameter out of range or usage error, 3 invalid Gram
+matrix, 4 I/O failure.  Output depends only on the arguments (and the seed,
+for ``verify``), never on time or machine.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
 from .errors import (
     DegenerateFormError,
+    InternalConsistencyError,
     NonPositiveDefiniteError,
     RangeError,
     UnsupportedFamilyError,
@@ -277,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scan":
             return _cmd_scan(args, settings)
         return _cmd_verify(args, settings)
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (RangeError, UnsupportedFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

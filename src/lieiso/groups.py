@@ -19,7 +19,11 @@ blockdiag(phi(x2), 1) and the right-invariant frame is [[Id, M xv], [0, 1]].
 
 The finite-difference routines below are deliberately independent of the
 algebraic engine: they differentiate the coordinate metric field and serve
-as numeric oracles for the structure-constant computations.
+as numeric oracles for the structure-constant computations.  Frames and
+metric fields take stacks of points (..., 3), and each stencil is evaluated
+as one stack: the point and its twelve neighbours.  phi runs once per
+distinct x2 with the scalar ``math`` functions, since vectorised ones round
+differently, so every result equals a point-by-point evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -80,61 +84,80 @@ def inverse(alg: LieAlgebra3, p: np.ndarray) -> np.ndarray:
 
 
 def left_frame(alg: LieAlgebra3, p: np.ndarray) -> np.ndarray:
-    """Columns are the left-invariant frame fields e_0, e_1, e_2 at p."""
-    frame = np.eye(3)
-    frame[:2, :2] = phi(alg, np.asarray(p, float)[2])
+    """Columns are the left-invariant frame fields e_0, e_1, e_2 at p.
+
+    ``p`` is one point (3,) or a stack (..., 3); the frames have shape
+    (..., 3, 3).  phi runs once per distinct x2 of the stack.
+    """
+    p = np.asarray(p, float)
+    t = p[..., 2]
+    values, where = np.unique(t, return_inverse=True)
+    frame = np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)).copy()
+    frame[..., :2, :2] = np.array([phi(alg, v) for v in values])[where.reshape(t.shape)]
     return frame
 
 
 def right_frame(alg: LieAlgebra3, p: np.ndarray) -> np.ndarray:
-    """Columns are the right-invariant frame fields r_0, r_1, r_2 at p."""
+    """Columns are the right-invariant frame fields r_0, r_1, r_2 at p (3,) or (..., 3)."""
     p = np.asarray(p, float)
-    frame = np.eye(3)
-    frame[:2, 2] = generator_block(alg) @ p[:2]
+    frame = np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)).copy()
+    frame[..., :2, 2] = p[..., :2] @ generator_block(alg).T
     return frame
 
 
 def left_invariant_field(alg: LieAlgebra3, v: np.ndarray):
+    """The field e(p) v, mapping points (..., 3) to vectors (..., 3)."""
     v = np.asarray(v, float)
     return lambda p: left_frame(alg, p) @ v
 
 
 def right_invariant_field(alg: LieAlgebra3, v: np.ndarray):
+    """The field r(p) v, mapping points (..., 3) to vectors (..., 3)."""
     v = np.asarray(v, float)
     return lambda p: right_frame(alg, p) @ v
 
 
 def metric_field(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.ndarray:
-    """Coordinate components of the left-invariant metric at p."""
+    """Coordinate components of the left-invariant metric at p (3,) or (..., 3)."""
     e_inv = np.linalg.inv(left_frame(alg, p))
-    return e_inv.T @ g.coeffs @ e_inv
+    return np.swapaxes(e_inv, -1, -2) @ g.coeffs @ e_inv
 
 
 # ---------------------------------------------------------------------------
 # finite differences (a fourth-order central stencil)
 
-_STENCIL_1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
+_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_WEIGHTS = (1.0, -8.0, 8.0, -1.0)  # /(12 h)
 
 
-def _fd1(f, p: np.ndarray, axis: int, h: float):
-    acc = None
-    for offset, w in _STENCIL_1:
-        q = np.array(p, float)
-        q[axis] += offset * h
-        term = w * np.asarray(f(q), float)
-        acc = term if acc is None else acc + term
-    return acc / (12.0 * h)
+def _value_and_gradient(f, p: np.ndarray, h: float):
+    """f at the points p (..., 3) and its derivatives d_a f, from one call of f.
+
+    f maps a stack of points (..., 3) to a stack of values (..., *shape).  It
+    is called once, on p and the twelve stencil points p + offset h e_axis of
+    each point.  Returns f(p), shape (..., *shape), and the derivatives,
+    shape (3, ..., *shape), summed term by term in stencil order.
+    """
+    points = np.empty((13,) + p.shape)
+    points[:] = p
+    shift = (_OFFSETS * h).reshape((4,) + (1,) * (p.ndim - 1))
+    for axis in range(3):
+        points[1 + 4 * axis : 5 + 4 * axis, ..., axis] += shift
+    values = f(points)
+    terms = values[1:].reshape((3, 4) + values.shape[1:])
+    w0, w1, w2, w3 = _WEIGHTS
+    grad = (w0 * terms[:, 0] + w1 * terms[:, 1] + w2 * terms[:, 2] + w3 * terms[:, 3]) / (12.0 * h)
+    return values[0], grad
 
 
 def christoffels(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate Christoffel symbols Gamma^k_{ij} at p, by differencing the metric."""
-    p = np.asarray(p, float)
-    gp = metric_field(alg, g, p)
-    dg = np.array([_fd1(lambda q: metric_field(alg, g, q), p, a, h) for a in range(3)])
+    """Coordinate Christoffel symbols Gamma^k_{ij} at p (..., 3), by differencing the metric."""
+    gp, dg = _value_and_gradient(lambda q: metric_field(alg, g, q), np.asarray(p, float), h)
+    dg = np.moveaxis(dg, 0, -3)
     ginv = np.linalg.inv(gp)
-    # dg[a, i, j] = d_a g_{ij};  Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
-    lowered = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, lowered)
+    # dg[..., a, i, j] = d_a g_{ij};  Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})
+    lowered = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, lowered)
 
 
 def numeric_curvature(
@@ -143,12 +166,11 @@ def numeric_curvature(
     """Coordinate curvature tensor at p, comps[i, j, k, l] for R(d_i, d_j) d_k.
 
     Built purely from finite differences of the coordinate metric field; used
-    as an oracle against the structure-constant curvature.
+    as an oracle against the structure-constant curvature.  The Christoffels
+    at p and at its twelve stencil points come from one stacked call.
     """
     h = settings.fd_step_curvature
-    p = np.asarray(p, float)
-    gamma = christoffels(alg, g, p, h)
-    dgamma = np.array([_fd1(lambda q: christoffels(alg, g, q, h), p, a, h) for a in range(3)])
+    gamma, dgamma = _value_and_gradient(lambda q: christoffels(alg, g, q, h), np.asarray(p, float), h)
     # R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
     # with gamma[k, i, j] = Gamma^k_{ij} and dgamma[a, l, i, j] = d_a Gamma^l_{ij}.
     d_term = np.einsum("iljk->ijkl", dgamma)
@@ -202,13 +224,12 @@ def killing_residual(
 
     (L_X g)_{ij} = X^m d_m g_{ij} + g_{mj} d_i X^m + g_{im} d_j X^m,
     all derivatives taken by central differences of the coordinate data.
+    ``field`` maps a stack of points (..., 3) to vectors (..., 3).
     """
     h = settings.fd_step
     p = np.asarray(p, float)
-    gp = metric_field(alg, g, p)
-    xp = np.asarray(field(p), float)
-    dg = np.array([_fd1(lambda q: metric_field(alg, g, q), p, a, h) for a in range(3)])
-    dx = np.array([_fd1(field, p, a, h) for a in range(3)])  # dx[a, m] = d_a X^m
+    gp, dg = _value_and_gradient(lambda q: metric_field(alg, g, q), p, h)
+    xp, dx = _value_and_gradient(field, p, h)  # dx[a, m] = d_a X^m
     lie = np.einsum("m,mij->ij", xp, dg)
     lie += np.einsum("mj,im->ij", gp, dx)
     lie += np.einsum("im,jm->ij", gp, dx)
@@ -222,12 +243,11 @@ def bracket_field_residual(alg: LieAlgebra3, p: np.ndarray, settings: EngineSett
     compares with c^k_{ij} e_k(p).  Returns the max norm of the difference.
     """
     h = settings.fd_step
-    p = np.asarray(p, float)
-    frame_p = left_frame(alg, p)
+    frame_p, dframe = _value_and_gradient(lambda q: left_frame(alg, q), np.asarray(p, float), h)
+    # dX[j, a, m] = d_a (e_j)^m, contiguous: the products below round
+    # differently on a strided view
+    dX = np.ascontiguousarray(dframe.transpose(2, 0, 1))
     worst = 0.0
-    fields = [lambda q, i=i: left_frame(alg, q)[:, i] for i in range(3)]
-    dX = np.array([[_fd1(fields[j], p, a, h) for a in range(3)] for j in range(3)])
-    # dX[j, a, m] = d_a (e_j)^m
     for i in range(3):
         for j in range(3):
             lie = frame_p[:, i] @ dX[j] - frame_p[:, j] @ dX[i]

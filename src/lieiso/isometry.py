@@ -95,18 +95,19 @@ def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: CovTensor) -
 def singer_isotropy(
     g: InnerProduct,
     tensors: tuple[CovTensor, CovTensor, CovTensor],
+    ric: np.ndarray,
     settings: EngineSettings = DEFAULT,
 ) -> np.ndarray:
     """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
 
     Solves the Singer conditions on the metric-skew algebra of ``g``, given
-    its (R, nabla R, nabla^2 R) as ``tensors``.  The search space is first
-    cut down to the stabilizer of the Ricci form (which contains every
-    solution, since Ricci is a curvature contraction); this never changes
-    the answer and the tests assert as much.
+    its (R, nabla R, nabla^2 R) as ``tensors`` and its Ricci form as ``ric``.
+    The search space is first cut down to the stabilizer of the Ricci form
+    (which contains every solution, since Ricci is a curvature contraction);
+    this never changes the answer and the tests assert as much.
     """
     space = skew_algebra(g.coeffs, settings=settings)
-    ric_stab = skew_algebra(ricci(tensors[0]), allow_degenerate=True, settings=settings)
+    ric_stab = skew_algebra(ric, allow_degenerate=True, settings=settings)
     space = intersect_skew(space, ric_stab, settings)
     if space.dim == 0:
         return np.zeros((0, 3, 3))
@@ -166,6 +167,7 @@ def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings =
     conn = levi_civita(alg, g, settings)
     tensors = tuple(curvature_derivatives(conn, alg))
     curv, nabla_r, nabla2_r = tensors
+    ric = ricci(curv)
     return MetricAnalysis(
         alg=alg,
         g=g,
@@ -174,9 +176,9 @@ def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings =
         curv=curv,
         nabla_r=nabla_r,
         nabla2_r=nabla2_r,
-        ric=ricci(curv),
+        ric=ric,
         symmetric=nabla_r.norm() <= 1e-9 * max(1.0, curv.norm()),
-        isotropy=singer_isotropy(g, tensors, settings),
+        isotropy=singer_isotropy(g, tensors, ric, settings),
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .errors import DegenerateFormError, RangeError, UnsupportedFamilyError
-from .linalg import canonical_matrix_basis, check_spd, rank_and_kernel, MATRIX_PIVOT_ORDER
+from .linalg import canonical_matrix_basis, check_spd, rank_and_kernel
 from .settings import DEFAULT, EngineSettings
 
 METRIC_NU = "g_nu"
@@ -314,18 +314,10 @@ class SkewAlgebraBasis:
     """Canonical basis of { M : M^T S + S M = 0 } for a symmetric form S."""
 
     mats: np.ndarray  # (k, 3, 3)
-    labels: tuple[str, ...]
 
     @property
     def dim(self) -> int:
         return len(self.mats)
-
-
-def _pivot_label(mat: np.ndarray) -> str:
-    for i, j in MATRIX_PIVOT_ORDER:
-        if abs(mat[i, j]) > 1e-9:
-            return f"a{i}{j}"
-    return "a??"
 
 
 def _skew_operator(s: np.ndarray) -> np.ndarray:
@@ -357,9 +349,7 @@ def skew_algebra(
         raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
 
     _, kernel = rank_and_kernel(_skew_operator(s), settings.tol_rank)
-    mats = canonical_matrix_basis(kernel.reshape(-1, 3, 3))
-    labels = tuple(_pivot_label(m) for m in mats)
-    return SkewAlgebraBasis(mats=mats, labels=labels)
+    return SkewAlgebraBasis(mats=canonical_matrix_basis(kernel.reshape(-1, 3, 3)))
 
 
 def intersect_skew(
@@ -371,11 +361,10 @@ def intersect_skew(
     amats = a.mats if isinstance(a, SkewAlgebraBasis) else np.asarray(a, float)
     bmats = b.mats if isinstance(b, SkewAlgebraBasis) else np.asarray(b, float)
     if len(amats) == 0 or len(bmats) == 0:
-        return SkewAlgebraBasis(mats=np.zeros((0, 3, 3)), labels=())
+        return SkewAlgebraBasis(mats=np.zeros((0, 3, 3)))
     stacked = np.hstack([amats.reshape(len(amats), 9).T, -bmats.reshape(len(bmats), 9).T])
     _, kernel = rank_and_kernel(stacked, settings.tol_rank)
     if len(kernel) == 0:
-        return SkewAlgebraBasis(mats=np.zeros((0, 3, 3)), labels=())
+        return SkewAlgebraBasis(mats=np.zeros((0, 3, 3)))
     combos = kernel[:, : len(amats)] @ amats.reshape(len(amats), 9)
-    mats = canonical_matrix_basis(combos.reshape(-1, 3, 3))
-    return SkewAlgebraBasis(mats=mats, labels=tuple(_pivot_label(m) for m in mats))
+    return SkewAlgebraBasis(mats=canonical_matrix_basis(combos.reshape(-1, 3, 3)))

@@ -102,7 +102,7 @@ def test_accept_02_isotropy_dimensions_and_generator():
             for nu in GRID:
                 g = metric_from_table(alg0, mu=mu, nu=nu)
                 tensors = curvature_derivatives(levi_civita(alg0, g), alg0)
-                iso = singer_isotropy(g, tensors)
+                iso = singer_isotropy(g, tensors, ricci(tensors[0]))
                 assert len(iso) == 1
                 np.testing.assert_allclose(
                     iso[0], goldens.isotropy_generator_c0(mu, nu), atol=1e-9
@@ -127,7 +127,7 @@ def test_accept_02_isotropy_dimensions_and_generator():
         for alg, kwargs in zero_dim:
             g = metric_from_table(alg, **kwargs)
             tensors = curvature_derivatives(levi_civita(alg, g), alg)
-            assert len(singer_isotropy(g, tensors)) == 0, (alg.c, kwargs)
+            assert len(singer_isotropy(g, tensors, ricci(tensors[0]))) == 0, (alg.c, kwargs)
 
 
 def test_accept_03_killing_bracket_table():

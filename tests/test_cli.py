@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lieiso
 from lieiso.cli import DEFAULT_GROUPS, main
 from lieiso.reports import SCAN_COLUMNS, TABLE_COLUMNS
 
@@ -216,6 +220,29 @@ def test_verify_passes(capsys):
     assert all(line.startswith("ok") for line in lines[:-1])
 
 
+@pytest.mark.parametrize("mu", ["1e-8", "1e6"])
+def test_internal_consistency_failure_is_reported_cleanly(capsys, mu):
+    # These in-range inputs still fail the Killing closure check; the CLI
+    # reports the failure as an error line with exit 1, not a traceback.
+    code, out, err = run_cli(capsys, "classify", "--family", "c", "--c", "0",
+                             "--mu", mu, "--nu", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Killing algebra does not close")
+
+
+def test_cli_import_leaves_test_and_symbolic_packages_unloaded():
+    # Every CLI process pays for what `lieiso.cli` imports at the top level.
+    src = str(Path(lieiso.__file__).resolve().parents[1])
+    code = (
+        "import sys, lieiso.cli; "
+        "print(sorted(m for m in ('sympy', 'hypothesis', 'scipy', 'pytest') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=src)
+    assert done.stdout.strip() == "[]"
+
+
 def test_verify_subsets(capsys):
     code, out, _ = run_cli(capsys, "verify", "--which", "symmetry")
     assert code == 0
@@ -266,7 +293,9 @@ def test_boundary_snap_is_reported(capsys):
 
 
 # Output of `lieiso table` and `lieiso scan --format csv`, byte for byte, as
-# printed before the stratum decisions were gathered into one table.
+# printed before the stratum decisions were gathered into one table, and of
+# `lieiso verify --which metrics`, as printed by the scalar finite-difference
+# stencils before they were evaluated as stacks.
 CLI_GOLDENS = Path(__file__).parent / "cli_goldens"
 
 
@@ -286,3 +315,10 @@ def test_scan_csv_matches_golden_bytes(capsys, family, c, grid):
     assert code == 0
     name = f"scan_{family}{'' if c is None else f'{c:g}'}_grid{grid}.csv"
     assert out == (CLI_GOLDENS / name).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_metrics_matches_golden_bytes(capsys, seed):
+    code, out, _ = run_cli(capsys, "verify", "--which", "metrics", "--points", "20", "--seed", str(seed))
+    assert code == 0
+    assert out == (CLI_GOLDENS / f"verify_metrics_seed{seed}.txt").read_bytes().decode("utf-8")

@@ -23,6 +23,7 @@ from lieiso.groups import (
     right_invariant_field,
 )
 from lieiso.metrics import metric_from_table
+from lieiso.settings import DEFAULT
 
 ALL_ALGEBRAS = [
     make_algebra_I(),
@@ -193,3 +194,125 @@ def test_phi_determinant_tracks_the_trace(c, s, t):
     assert np.linalg.det(phi(alg, s + t)) == pytest.approx(
         math.exp(2.0 * (s + t)), rel=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# The stacked stencils against the scalar loop they replaced: one metric field
+# per stencil point, each term added in stencil order.
+
+_STENCIL_1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
+
+CATALOG_METRICS = {  # keyed by c, None for family I
+    None: dict(nu=1.5),
+    -2.0: dict(mu=1.2, nu=0.8),
+    0.0: dict(mu=0.7, nu=1.3),
+    0.25: dict(mu=0.4, nu=1.0),
+    1.0: dict(lam=0.3, nu=1.0),
+    4.0: dict(mu=2.5, nu=0.7),
+}
+
+
+def _fd1(f, p, axis, h):
+    acc = None
+    for offset, w in _STENCIL_1:
+        q = np.array(p, float)
+        q[axis] += offset * h
+        term = w * np.asarray(f(q), float)
+        acc = term if acc is None else acc + term
+    return acc / (12.0 * h)
+
+
+def _frame_at(alg, p):
+    frame = np.eye(3)
+    frame[:2, :2] = phi(alg, p[2])
+    return frame
+
+
+def _metric_at(alg, g, p):
+    e_inv = np.linalg.inv(_frame_at(alg, p))
+    return e_inv.T @ g.coeffs @ e_inv
+
+
+def _christoffels_at(alg, g, p, h):
+    gp = _metric_at(alg, g, p)
+    dg = np.array([_fd1(lambda q: _metric_at(alg, g, q), p, a, h) for a in range(3)])
+    lowered = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(gp), lowered)
+
+
+def _ricci_frame_at(alg, g, p):
+    h = DEFAULT.fd_step_curvature
+    gamma = _christoffels_at(alg, g, p, h)
+    dgamma = np.array([_fd1(lambda q: _christoffels_at(alg, g, q, h), p, a, h) for a in range(3)])
+    d_term = np.einsum("iljk->ijkl", dgamma)
+    quad = np.einsum("lim,mjk->ijkl", gamma, gamma)
+    comps = d_term - d_term.transpose(1, 0, 2, 3) + quad - quad.transpose(1, 0, 2, 3)
+    frame = _frame_at(alg, p)
+    return frame.T @ np.einsum("ijki->jk", comps) @ frame
+
+
+def _right_frame_at(alg, p):
+    frame = np.eye(3)
+    frame[:2, 2] = generator_block(alg) @ p[:2]
+    return frame
+
+
+def _killing_residual_at(alg, g, field, p):
+    h = DEFAULT.fd_step
+    gp = _metric_at(alg, g, p)
+    xp = np.asarray(field(p), float)
+    dg = np.array([_fd1(lambda q: _metric_at(alg, g, q), p, a, h) for a in range(3)])
+    dx = np.array([_fd1(field, p, a, h) for a in range(3)])
+    lie = np.einsum("m,mij->ij", xp, dg)
+    lie += np.einsum("mj,im->ij", gp, dx)
+    lie += np.einsum("im,jm->ij", gp, dx)
+    return float(np.max(np.abs(lie)))
+
+
+def _bracket_residual_at(alg, p):
+    h = DEFAULT.fd_step
+    frame_p = _frame_at(alg, p)
+    fields = [lambda q, i=i: _frame_at(alg, q)[:, i] for i in range(3)]
+    dX = np.array([[_fd1(fields[j], p, a, h) for a in range(3)] for j in range(3)])
+    worst = 0.0
+    for i in range(3):
+        for j in range(3):
+            lie = frame_p[:, i] @ dX[j] - frame_p[:, j] @ dX[i]
+            expected = frame_p @ alg.structure[i, j]
+            worst = max(worst, float(np.max(np.abs(lie - expected))))
+    return worst
+
+
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=lambda a: f"{a.family}:{a.c}")
+def test_stacked_oracles_equal_the_scalar_loop(alg):
+    # Seeded points in every group: the stacked oracles must reproduce the
+    # scalar stencil bit for bit, not just to a tolerance.  The bracket
+    # residual is cheap and a layout change moves it on one point in about
+    # fifty, so it gets more points.
+    g = metric_from_table(alg, **CATALOG_METRICS[alg.c])
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = rng.uniform(-0.4, 0.4, 3)
+        v = rng.standard_normal(3)
+        assert np.array_equal(numeric_ricci_frame(alg, g, p), _ricci_frame_at(alg, g, p))
+        assert killing_residual(alg, g, right_invariant_field(alg, v), p) == _killing_residual_at(
+            alg, g, lambda q: _right_frame_at(alg, q) @ v, p
+        )
+    for p in rng.uniform(-0.4, 0.4, (200, 3)):
+        assert bracket_field_residual(alg, p) == _bracket_residual_at(alg, p)
+
+
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=lambda a: f"{a.family}:{a.c}")
+def test_frames_and_metric_on_a_stack_equal_the_per_point_calls(alg):
+    g = metric_from_table(alg, **CATALOG_METRICS[alg.c])
+    points = np.random.default_rng(12).uniform(-0.8, 0.8, (20, 3))
+    points[:5, 2] = points[5:10, 2]  # repeated x2 values share one phi
+    for f, reference in [
+        (lambda q: left_frame(alg, q), lambda q: _frame_at(alg, q)),
+        (lambda q: metric_field(alg, g, q), lambda q: _metric_at(alg, g, q)),
+        (lambda q: right_frame(alg, q), lambda q: _right_frame_at(alg, q)),
+    ]:
+        want = np.array([f(q) for q in points])
+        assert np.array_equal(want, np.array([reference(q) for q in points]))
+        assert np.array_equal(f(points), want)
+        assert np.array_equal(f(points.reshape(4, 5, 3)), want.reshape(4, 5, 3, 3))

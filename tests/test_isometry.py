@@ -25,7 +25,8 @@ GRID = [0.5, 1.0, 2.0]
 
 
 def _isotropy(alg, g):
-    return singer_isotropy(g, curvature_derivatives(levi_civita(alg, g), alg))
+    tensors = curvature_derivatives(levi_civita(alg, g), alg)
+    return singer_isotropy(g, tensors, ricci(tensors[0]))
 
 
 @pytest.mark.parametrize("mu", GRID)
