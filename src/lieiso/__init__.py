@@ -70,7 +70,6 @@ from .symmetry import (
     SymmetryReport,
     index_of_symmetry,
     scan_moduli,
-    strata_for_family,
 )
 
 __version__ = "0.1.0"
@@ -127,7 +126,6 @@ __all__ = [
     "singer_isotropy",
     "snap_parameters",
     "so_action",
-    "strata_for_family",
     "stratification_rows",
     "to_json",
     "__version__",

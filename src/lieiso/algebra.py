@@ -14,15 +14,20 @@ curvature machinery but not for the classification routines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, UnsupportedFamilyError
+from .errors import InternalConsistencyError, RangeError, UnsupportedFamilyError
 
 FAMILY_I = "I"
 FAMILY_C = "c"
 FAMILY_CUSTOM = "custom"
+
+#: Relative size of the antisymmetry and Jacobi defects a custom algebra may
+#: have, and of the ad-traces of a unimodular one.
+STRUCTURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,9 @@ class LieAlgebra3:
         cyc = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
         return float(np.max(np.abs(cyc)))
 
-    def is_unimodular(self, tol: float = 1e-12) -> bool:
+    def is_unimodular(self) -> bool:
         traces = np.einsum("ijj->i", self.structure)
-        return bool(np.max(np.abs(traces)) <= tol)
+        return bool(np.max(np.abs(traces)) <= STRUCTURE_TOL)
 
     def adjoint_block(self) -> np.ndarray:
         """Transpose of ad(e2) restricted to span(e0, e1), as a 2x2 matrix.
@@ -89,18 +94,20 @@ def make_algebra_I() -> LieAlgebra3:
 def make_algebra_c(c: float) -> LieAlgebra3:
     """[e2, e0] = e1 and [e2, e1] = -c e0 + 2 e1; e0, e1 commute."""
     c = float(c)
+    if not math.isfinite(c):
+        raise RangeError(f"c={c} is not a finite number")
     s = _antisymmetrized({(2, 0): np.array([0.0, 1.0, 0.0]), (2, 1): np.array([-c, 2.0, 0.0])})
     return LieAlgebra3(structure=s, family=FAMILY_C, c=c)
 
 
-def custom_algebra(structure: np.ndarray, tol_jacobi: float = 1e-12) -> LieAlgebra3:
+def custom_algebra(structure: np.ndarray) -> LieAlgebra3:
     """Wrap arbitrary structure constants, validating the Lie axioms."""
     s = np.asarray(structure, dtype=float)
     alg = LieAlgebra3(structure=0.5 * (s - s.transpose(1, 0, 2)), family=FAMILY_CUSTOM)
     anti = float(np.max(np.abs(s + s.transpose(1, 0, 2))))
-    if anti > tol_jacobi * max(1.0, float(np.max(np.abs(s)))):
+    if anti > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(s)))):
         raise InternalConsistencyError(f"structure constants are not antisymmetric (defect {anti:g})")
     defect = alg.jacobi_defect()
-    if defect > tol_jacobi * max(1.0, float(np.max(np.abs(s))) ** 2):
+    if defect > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(s))) ** 2):
         raise InternalConsistencyError(f"Jacobi identity fails (defect {defect:g})")
     return alg

@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, default=None,
                        help="family-c parameter (determinant of the defining block)")
         p.add_argument("--tol-rank", type=float, default=None,
-                       help=f"relative rank cutoff (default {DEFAULT.tol_rank})")
+                       help=f"relative rank cutoff, 0 < x < 1 (default {DEFAULT.tol_rank})")
         p.add_argument("--tol-case", type=float, default=None,
-                       help=f"stratum-boundary snap tolerance (default {DEFAULT.tol_case})")
+                       help=f"stratum-boundary snap tolerance, x >= 0 (default {DEFAULT.tol_case})")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     p_classify = sub.add_parser("classify", help="classify one left-invariant metric")
@@ -220,12 +220,12 @@ def _check_metrics(points: int, seed: int, settings: EngineSettings, out: list[s
         ka = killing_algebra(analysis)
         p = rng.uniform(-0.4, 0.4, size=3)
         checks = [
-            ("ricci-fd", float(np.max(np.abs(numeric_ricci_frame(alg, g, p, settings) - ric))), 1e-3),
-            ("bracket-fd", bracket_field_residual(alg, p, settings), 1e-4),
+            ("ricci-fd", float(np.max(np.abs(numeric_ricci_frame(alg, g, p) - ric))), 1e-3),
+            ("bracket-fd", bracket_field_residual(alg, p), 1e-4),
         ]
         gen = ka.generators[int(rng.integers(0, 3))]
         field = right_invariant_field(alg, gen.v)
-        checks.append(("killing-fd", killing_residual(alg, g, field, p, settings), 1e-5))
+        checks.append(("killing-fd", killing_residual(alg, g, field, p), 1e-5))
         worst = max(v for _, v, _ in checks)
         bad = [name for name, v, tol in checks if v > tol]
         ok &= not bad

@@ -25,7 +25,6 @@ import numpy as np
 
 from .algebra import LieAlgebra3
 from .metrics import InnerProduct
-from .settings import DEFAULT, EngineSettings
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class CovTensor:
         return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
 
 
-def levi_civita(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT) -> ConnectionOperator:
+def levi_civita(alg: LieAlgebra3, g: InnerProduct) -> ConnectionOperator:
     """Solve the Koszul formula for the connection endomorphisms."""
     s = alg.structure
     gram = g.coeffs
@@ -98,6 +97,10 @@ def sectional_curvature(curv: CovTensor, g: InnerProduct, x: np.ndarray, y: np.n
     return num / den
 
 
+#: Largest spread of the probed sectional curvatures, relative to
+#: 1 + max|K|, for which the curvature counts as constant.
+SECTIONAL_TOL = 1e-9
+
 # Planes probed when deciding whether the curvature is constant: the three
 # coordinate planes plus a few slanted ones.
 _PROBE_PLANES = [
@@ -110,11 +113,11 @@ _PROBE_PLANES = [
 ]
 
 
-def constant_sectional(curv: CovTensor, g: InnerProduct, tol: float = 1e-9) -> float | None:
+def constant_sectional(curv: CovTensor, g: InnerProduct) -> float | None:
     """The common sectional curvature if it is plane-independent, else None."""
     values = [sectional_curvature(curv, g, x, y) for x, y in _PROBE_PLANES]
     spread = max(values) - min(values)
-    if spread <= tol * (1.0 + max(abs(v) for v in values)):
+    if spread <= SECTIONAL_TOL * (1.0 + max(abs(v) for v in values)):
         return float(np.mean(values))
     return None
 

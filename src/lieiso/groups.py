@@ -19,11 +19,16 @@ blockdiag(phi(x2), 1) and the right-invariant frame is [[Id, M xv], [0, 1]].
 
 The finite-difference routines below are deliberately independent of the
 algebraic engine: they differentiate the coordinate metric field and serve
-as numeric oracles for the structure-constant computations.  Frames and
-metric fields take stacks of points (..., 3), and each stencil is evaluated
-as one stack: the point and its twelve neighbours.  phi runs once per
-distinct x2 with the scalar ``math`` functions, since vectorised ones round
-differently, so every result equals a point-by-point evaluation bit for bit.
+as numeric oracles for the structure-constant computations.  First
+derivatives of metric fields, frames and vector fields take the step
+FD_STEP.  The curvature is a difference of Christoffel symbols that are
+themselves differences; both nested stencils take the coarser
+FD_STEP_CURVATURE, since their rounding error grows as the step shrinks.
+Frames and metric fields take stacks of points (..., 3), and each stencil
+is evaluated as one stack: the point and its twelve neighbours.  phi runs
+once per distinct x2 with the scalar ``math`` functions, since vectorised
+ones round differently, so every result equals a point-by-point
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_CUSTOM, FAMILY_I, LieAlgebra3
 from .metrics import InnerProduct
 from .errors import UnsupportedFamilyError
-from .settings import DEFAULT, EngineSettings
 
 
 def generator_block(alg: LieAlgebra3) -> np.ndarray:
@@ -126,6 +130,11 @@ def metric_field(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 # finite differences (a fourth-order central stencil)
 
+#: Step of the first derivatives of metric fields, frames and vector fields.
+FD_STEP = 1e-4
+#: Step of both stencils behind the curvature (metric -> Christoffels -> R).
+FD_STEP_CURVATURE = 1e-3
+
 _OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _WEIGHTS = (1.0, -8.0, 8.0, -1.0)  # /(12 h)
 
@@ -160,16 +169,14 @@ def christoffels(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, h: float) -> 
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, lowered)
 
 
-def numeric_curvature(
-    alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, settings: EngineSettings = DEFAULT
-) -> np.ndarray:
+def numeric_curvature(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.ndarray:
     """Coordinate curvature tensor at p, comps[i, j, k, l] for R(d_i, d_j) d_k.
 
     Built purely from finite differences of the coordinate metric field; used
     as an oracle against the structure-constant curvature.  The Christoffels
     at p and at its twelve stencil points come from one stacked call.
     """
-    h = settings.fd_step_curvature
+    h = FD_STEP_CURVATURE
     gamma, dgamma = _value_and_gradient(lambda q: christoffels(alg, g, q, h), np.asarray(p, float), h)
     # R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
     # with gamma[k, i, j] = Gamma^k_{ij} and dgamma[a, l, i, j] = d_a Gamma^l_{ij}.
@@ -178,32 +185,23 @@ def numeric_curvature(
     return d_term - d_term.transpose(1, 0, 2, 3) + quad - quad.transpose(1, 0, 2, 3)
 
 
-def numeric_ricci(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, settings: EngineSettings = DEFAULT) -> np.ndarray:
-    comps = numeric_curvature(alg, g, p, settings)
+def numeric_ricci(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.ndarray:
+    comps = numeric_curvature(alg, g, p)
     return np.einsum("ijki->jk", comps)
 
 
-def numeric_ricci_frame(
-    alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, settings: EngineSettings = DEFAULT
-) -> np.ndarray:
+def numeric_ricci_frame(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.ndarray:
     """Numeric Ricci at p in the left-invariant frame.
 
     By left-invariance this is independent of p and must reproduce the
     structure-constant Ricci computed at the identity.
     """
     frame = left_frame(alg, np.asarray(p, float))
-    return frame.T @ numeric_ricci(alg, g, p, settings) @ frame
+    return frame.T @ numeric_ricci(alg, g, p) @ frame
 
 
-def numeric_sectional(
-    alg: LieAlgebra3,
-    g: InnerProduct,
-    p: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    settings: EngineSettings = DEFAULT,
-) -> float:
-    comps = numeric_curvature(alg, g, p, settings)
+def numeric_sectional(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    comps = numeric_curvature(alg, g, p)
     gp = metric_field(alg, g, p)
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -213,20 +211,14 @@ def numeric_sectional(
     return num / den
 
 
-def killing_residual(
-    alg: LieAlgebra3,
-    g: InnerProduct,
-    field,
-    p: np.ndarray,
-    settings: EngineSettings = DEFAULT,
-) -> float:
+def killing_residual(alg: LieAlgebra3, g: InnerProduct, field, p: np.ndarray) -> float:
     """Max norm of the Lie derivative (L_X g)_{ij} at p for a vector field X.
 
     (L_X g)_{ij} = X^m d_m g_{ij} + g_{mj} d_i X^m + g_{im} d_j X^m,
     all derivatives taken by central differences of the coordinate data.
     ``field`` maps a stack of points (..., 3) to vectors (..., 3).
     """
-    h = settings.fd_step
+    h = FD_STEP
     p = np.asarray(p, float)
     gp, dg = _value_and_gradient(lambda q: metric_field(alg, g, q), p, h)
     xp, dx = _value_and_gradient(field, p, h)  # dx[a, m] = d_a X^m
@@ -236,13 +228,13 @@ def killing_residual(
     return float(np.max(np.abs(lie)))
 
 
-def bracket_field_residual(alg: LieAlgebra3, p: np.ndarray, settings: EngineSettings = DEFAULT) -> float:
+def bracket_field_residual(alg: LieAlgebra3, p: np.ndarray) -> float:
     """Check the left frame brackets against the structure constants at p.
 
     Computes [e_i, e_j] as coordinate vector fields by finite differences and
     compares with c^k_{ij} e_k(p).  Returns the max norm of the difference.
     """
-    h = settings.fd_step
+    h = FD_STEP
     frame_p, dframe = _value_and_gradient(lambda q: left_frame(alg, q), np.asarray(p, float), h)
     # dX[j, a, m] = d_a (e_j)^m, contiguous: the products below round
     # differently on a strided view

@@ -109,24 +109,22 @@ def singer_isotropy(
     space = skew_algebra(g.coeffs, settings=settings)
     ric_stab = skew_algebra(ric, allow_degenerate=True, settings=settings)
     space = intersect_skew(space, ric_stab, settings)
-    if space.dim == 0:
+    if len(space) == 0:
         return np.zeros((0, 3, 3))
 
     # constraint matrix: one column per basis coefficient, rows stack the
     # entries of basis_mat . R, basis_mat . (nabla R), basis_mat . (nabla^2 R)
     blocks = [
-        np.stack([so_action(basis_mat, t).comps.ravel() for basis_mat in space.mats], axis=1)
+        np.stack([so_action(basis_mat, t).comps.ravel() for basis_mat in space], axis=1)
         for t in tensors
     ]
     # the natural scale of the residual system: basis size times tensor size
     # (for a symmetric space the whole matrix is rounding noise)
-    scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(
-        np.max(np.abs(space.mats))
-    )
+    scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space)))
     _, kernel = rank_and_kernel(np.vstack(blocks), settings.tol_rank, scale=scale)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
-    mats = np.einsum("ks,sij->kij", kernel, space.mats)
+    mats = np.einsum("ks,sij->kij", kernel, space)
     return _normalize_isotropy(canonical_matrix_basis(mats))
 
 
@@ -164,7 +162,7 @@ class MetricAnalysis:
 
 def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT) -> MetricAnalysis:
     """Connection, R, nabla R, nabla^2 R, Ricci and isotropy of one metric."""
-    conn = levi_civita(alg, g, settings)
+    conn = levi_civita(alg, g)
     tensors = tuple(curvature_derivatives(conn, alg))
     curv, nabla_r, nabla2_r = tensors
     ric = ricci(curv)
@@ -281,7 +279,7 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
         raise UnsupportedFamilyError("classification requires family I or c")
     g, symmetric, iso = a.g, a.symmetric, a.isotropy
     k = len(iso)
-    sec = constant_sectional(a.curv, g, tol=a.settings.tol_rank * 1e3)
+    sec = constant_sectional(a.curv, g)
 
     if k == 2:
         raise InternalConsistencyError("isotropy dimension 2 cannot occur in dimension 3")

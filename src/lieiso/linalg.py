@@ -17,6 +17,11 @@ from .errors import NonPositiveDefiniteError
 MATRIX_PIVOT_ORDER = [(1, 0), (2, 0), (2, 1), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 _FLAT_PIVOTS = [3 * i + j for i, j in MATRIX_PIVOT_ORDER]
 
+#: Entries below PIVOT_TOL * max(1, max|entry|) are not taken as pivots.
+PIVOT_TOL = 1e-12
+#: Largest asymmetry |G - G^T| a Gram matrix may have, relative to max(1, max|G|).
+SYMMETRY_TOL = 1e-10
+
 
 def rank_and_kernel(
     m: np.ndarray, tol_rank: float, scale: float | None = None
@@ -48,7 +53,7 @@ def rank_and_kernel(
     return rank, vt[rank:]
 
 
-def canonical_matrix_basis(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def canonical_matrix_basis(mats: np.ndarray) -> np.ndarray:
     """Reduce a spanning set of 3x3 matrices to a canonical (RREF-like) basis.
 
     Pivot columns are scanned in MATRIX_PIVOT_ORDER and each basis matrix is
@@ -63,7 +68,7 @@ def canonical_matrix_basis(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     pivots: list[tuple[int, int]] = []  # (column, row index) in discovery order
     used = np.zeros(len(rows), dtype=bool)
     for col in _FLAT_PIVOTS:
-        best, best_val = -1, tol * scale
+        best, best_val = -1, PIVOT_TOL * scale
         for i in range(len(rows)):
             if not used[i] and abs(rows[i, col]) > best_val:
                 best, best_val = i, abs(rows[i, col])
@@ -82,18 +87,21 @@ def canonical_matrix_basis(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.array([(rows[i] / rows[i, col]).reshape(3, 3) for col, i in pivots])
 
 
-def check_spd(gram: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+def check_spd(gram: np.ndarray) -> np.ndarray:
     """Validate a symmetric positive-definite Gram matrix.
 
-    Symmetry is checked relative to the magnitude of the entries; positive
-    definiteness through the leading principal minors.  Raises
-    NonPositiveDefiniteError otherwise, returns the symmetrized matrix.
+    The entries must be finite.  Symmetry is checked relative to the
+    magnitude of the entries; positive definiteness through the leading
+    principal minors.  Raises NonPositiveDefiniteError otherwise, returns the
+    symmetrized matrix.
     """
     g = np.asarray(gram, dtype=float)
     if g.shape != (3, 3):
         raise NonPositiveDefiniteError(f"Gram matrix must be 3x3, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NonPositiveDefiniteError("Gram matrix has non-finite entries")
     scale = max(float(np.max(np.abs(g))), 1.0)
-    if np.max(np.abs(g - g.T)) > sym_tol * scale:
+    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * scale:
         raise NonPositiveDefiniteError("Gram matrix is not symmetric")
     g = 0.5 * (g + g.T)
     for k in range(1, 4):

@@ -109,6 +109,13 @@ class StratumSpec(NamedTuple):
     singular: bool = False
     interior: Callable[[int], Sequence[float]] | None = None
 
+    def sample_params(self, n: int) -> tuple[dict[str, float], ...]:
+        """n sample points of the stratum, with nu on a geometric grid in [0.5, 2]."""
+        param = SHEET_PARAMETER.get(self.metric_name)
+        values = [self.boundary] * n if self.interior is None else self.interior(n)
+        nus = np.geomspace(0.5, 2.0, n)
+        return tuple({param: v, "nu": float(nu)} if param else {"nu": float(nu)} for v, nu in zip(values, nus))
+
 
 #: The parameter that moves along each catalog sheet besides nu.
 SHEET_PARAMETER = {METRIC_MU_NU: "mu", METRIC_LAMBDA_NU: "lam"}
@@ -250,6 +257,9 @@ def metric_from_table(
         raise UnsupportedFamilyError("catalog metrics are only defined for families I and c")
     if nu is None:
         raise RangeError("every catalog metric requires nu")
+    for name, value in (("mu", mu), ("nu", nu), ("lam", lam)):
+        if value is not None and not math.isfinite(value):
+            raise RangeError(f"{name}={value} is not a finite number")
     nu = float(nu)
     if not nu > 0.0:
         raise RangeError(f"nu={nu} violates the catalog constraint nu > 0")
@@ -309,17 +319,6 @@ def metric_from_table(
     return InnerProduct(g, METRIC_MU_NU, {"mu": mu, "nu": nu}, snapped)
 
 
-@dataclass(frozen=True)
-class SkewAlgebraBasis:
-    """Canonical basis of { M : M^T S + S M = 0 } for a symmetric form S."""
-
-    mats: np.ndarray  # (k, 3, 3)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mats)
-
-
 def _skew_operator(s: np.ndarray) -> np.ndarray:
     """vec(M^T S + S M) as a 9x9 linear operator on vec(M), row-major.
 
@@ -334,8 +333,8 @@ def skew_algebra(
     *,
     allow_degenerate: bool = False,
     settings: EngineSettings = DEFAULT,
-) -> SkewAlgebraBasis:
-    """Solve M^T S + S M = 0 for a symmetric 3x3 form S.
+) -> np.ndarray:
+    """Solve M^T S + S M = 0 for a symmetric 3x3 form S; a canonical basis (k, 3, 3).
 
     For a nondegenerate S the solution space is 3-dimensional.  Degenerate
     forms raise DegenerateFormError (with the numeric rank attached) unless
@@ -349,22 +348,16 @@ def skew_algebra(
         raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
 
     _, kernel = rank_and_kernel(_skew_operator(s), settings.tol_rank)
-    return SkewAlgebraBasis(mats=canonical_matrix_basis(kernel.reshape(-1, 3, 3)))
+    return canonical_matrix_basis(kernel.reshape(-1, 3, 3))
 
 
-def intersect_skew(
-    a: SkewAlgebraBasis | np.ndarray,
-    b: SkewAlgebraBasis | np.ndarray,
-    settings: EngineSettings = DEFAULT,
-) -> SkewAlgebraBasis:
-    """Intersection of two spans of 3x3 matrices, canonically re-based."""
-    amats = a.mats if isinstance(a, SkewAlgebraBasis) else np.asarray(a, float)
-    bmats = b.mats if isinstance(b, SkewAlgebraBasis) else np.asarray(b, float)
-    if len(amats) == 0 or len(bmats) == 0:
-        return SkewAlgebraBasis(mats=np.zeros((0, 3, 3)))
-    stacked = np.hstack([amats.reshape(len(amats), 9).T, -bmats.reshape(len(bmats), 9).T])
+def intersect_skew(a: np.ndarray, b: np.ndarray, settings: EngineSettings = DEFAULT) -> np.ndarray:
+    """Intersection of the spans of two stacks (k, 3, 3) of matrices, canonically re-based."""
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros((0, 3, 3))
+    stacked = np.hstack([a.reshape(len(a), 9).T, -b.reshape(len(b), 9).T])
     _, kernel = rank_and_kernel(stacked, settings.tol_rank)
     if len(kernel) == 0:
-        return SkewAlgebraBasis(mats=np.zeros((0, 3, 3)))
-    combos = kernel[:, : len(amats)] @ amats.reshape(len(amats), 9)
-    return SkewAlgebraBasis(mats=canonical_matrix_basis(combos.reshape(-1, 3, 3)))
+        return np.zeros((0, 3, 3))
+    combos = kernel[:, : len(a)] @ a.reshape(len(a), 9)
+    return canonical_matrix_basis(combos.reshape(-1, 3, 3))

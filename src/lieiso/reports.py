@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
 from .curvature import (
-    constant_sectional,
     first_bianchi_defect,
     metric_compatibility_defect,
     scalar_curvature,
@@ -24,9 +23,9 @@ from .curvature import (
 )
 from .errors import InternalConsistencyError
 from .isometry import CLOSURE_TOL, analyze_metric, classify_isometry_group, killing_algebra, killing_form
-from .metrics import InnerProduct, metric_from_table
+from .metrics import InnerProduct, metric_from_table, stratum_table
 from .settings import DEFAULT, EngineSettings
-from .symmetry import CERTIFICATE_TOL, ModuliScanResult, index_of_symmetry, strata_for_family
+from .symmetry import CERTIFICATE_TOL, ModuliScanResult, index_of_symmetry
 
 SCHEMA_VERSION = "1.0"
 
@@ -61,7 +60,6 @@ def build_report(
     analysis = analyze_metric(alg, g, settings)
     conn, curv, ric = analysis.conn, analysis.curv, analysis.ric
     scal = scalar_curvature(ric, g)
-    const = constant_sectional(curv, g)
 
     descriptor = classify_isometry_group(analysis)
     ka = killing_algebra(analysis)
@@ -95,7 +93,7 @@ def build_report(
             "curvature": {
                 "ricci": ric,
                 "scalar": scal,
-                "sectional_constant": const,
+                "sectional_constant": descriptor.sectional_constant,
                 "parallel_curvature": bool(descriptor.symmetric_space),
             },
             "isometry": {
@@ -126,17 +124,8 @@ def build_report(
     )
 
 
-def _json_default(obj: Any) -> Any:
-    """Convert the numpy values the JSON encoder meets; anything else is an error."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def to_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -211,12 +200,13 @@ def stratification_rows(
     The index and generator are computed at every sample point of the
     stratum and must agree across it.
     """
-    alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(float(c))
+    table = stratum_table(family, c)
+    alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(table.c)
     rows = []
-    for stratum in strata_for_family(family, c):
+    for stratum in table.strata:
         indices = []
         generator = None
-        for params in stratum.sample_params:
+        for params in stratum.sample_params(3):
             g = metric_from_table(alg, **params, settings=settings)
             report = index_of_symmetry(analyze_metric(alg, g, settings))
             indices.append(report.index)

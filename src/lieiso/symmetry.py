@@ -29,7 +29,7 @@ from .algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
 from .errors import InternalConsistencyError, RangeError, UnsupportedFamilyError
 from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group, right_invariant_b
 from .linalg import rank_and_kernel
-from .metrics import SHEET_PARAMETER, METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table
+from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table
 from .settings import DEFAULT, EngineSettings
 
 #: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
@@ -94,35 +94,6 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
 
 
 # ---------------------------------------------------------------------------
-# stratification of the catalog
-
-@dataclass(frozen=True)
-class Stratum:
-    """One row of the symmetry stratification."""
-
-    key: str
-    metric_name: str
-    constraint: str
-    sample_params: tuple[dict[str, float], ...]
-
-
-def _nu_grid(n: int) -> list[float]:
-    return [float(x) for x in np.geomspace(0.5, 2.0, max(n, 1))]
-
-
-def strata_for_family(family: str, c: float | None, n: int = 3) -> list[Stratum]:
-    """The symmetry strata of one group, with n sample points each."""
-    nus = _nu_grid(n)
-    out: list[Stratum] = []
-    for s in stratum_table(family, c).strata:
-        param = SHEET_PARAMETER.get(s.metric_name)
-        values = [s.boundary] * n if s.interior is None else s.interior(n)
-        samples = tuple({param: v, "nu": nu} if param else {"nu": nu} for v, nu in zip(values, nus))
-        out.append(Stratum(s.key, s.metric_name, s.constraint, samples))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # moduli scans
 
 @dataclass(frozen=True)
@@ -180,7 +151,7 @@ def scan_moduli(
         raise UnsupportedFamilyError("scan requires family I or family c with a value of c")
 
     table = stratum_table(family, c)
-    nus = _nu_grid(grid_nu)
+    nus = [float(x) for x in np.geomspace(0.5, 2.0, grid_nu)]
     jobs: list[tuple[str, dict[str, float]]] = []
     if family == FAMILY_I:
         jobs = [(METRIC_NU, {"nu": nu}) for nu in np.geomspace(0.4, 2.5, max(grid_mu, grid_nu))]

@@ -42,8 +42,8 @@ from lieiso.isometry import (
     killing_form,
     singer_isotropy,
 )
-from lieiso.metrics import metric_from_table
-from lieiso.symmetry import index_of_symmetry, scan_moduli, strata_for_family
+from lieiso.metrics import metric_from_table, stratum_table
+from lieiso.symmetry import index_of_symmetry, scan_moduli
 
 GRID = [0.5, 1.0, 2.0]
 
@@ -230,9 +230,9 @@ def test_accept_06_stratification_table_and_no_index_two():
         seen = set()
         for c in (-2.0, 0.0, 0.25, 1.0, 4.0):
             alg = make_algebra_c(c)
-            for stratum in strata_for_family("c", c, n=3):
+            for stratum in stratum_table("c", c).strata:
                 seen.add(stratum.key)
-                for params in stratum.sample_params:
+                for params in stratum.sample_params(3):
                     g = metric_from_table(alg, **params)
                     report = index_of_symmetry(analyze_metric(alg, g))
                     assert report.index == EXPECTED_INDEX[stratum.key], (

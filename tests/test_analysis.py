@@ -4,8 +4,9 @@ import importlib
 import sys
 
 import numpy as np
+import pytest
 
-from lieiso.algebra import make_algebra_c
+from lieiso.algebra import make_algebra_c, make_algebra_I
 from lieiso.isometry import analyze_metric, classify_isometry_group, killing_algebra
 from lieiso.metrics import metric_from_table
 from lieiso.reports import build_report, stratification_rows, to_json
@@ -15,6 +16,7 @@ from lieiso.symmetry import index_of_symmetry, scan_moduli
 # submodule of the same name as an attribute of ``lieiso``
 LEVI_CIVITA = importlib.import_module("lieiso.curvature").levi_civita
 SINGER_ISOTROPY = importlib.import_module("lieiso.isometry").singer_isotropy
+CONSTANT_SECTIONAL = importlib.import_module("lieiso.curvature").constant_sectional
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -47,6 +49,21 @@ def test_build_report_computes_connection_and_isotropy_once(monkeypatch):
     assert to_json(build_report(alg, g)) == want
     assert len(lc) == 1
     assert len(singer) == 1
+
+
+@pytest.mark.parametrize("family,c,params", [
+    ("I", None, {"nu": 2.0}),
+    ("c", 0.0, {"mu": 0.7, "nu": 1.3}),
+    ("c", 4.0, {"mu": 4.0, "nu": 0.5}),
+])
+def test_build_report_decides_constant_curvature_once(monkeypatch, family, c, params):
+    alg = make_algebra_I() if family == "I" else make_algebra_c(c)
+    g = metric_from_table(alg, **params)
+    sec = _count_calls(monkeypatch, CONSTANT_SECTIONAL)
+    report = build_report(alg, g)
+    assert len(sec) == 1
+    descriptor = classify_isometry_group(analyze_metric(alg, g))
+    assert report["curvature"]["sectional_constant"] == descriptor.sectional_constant
 
 
 def test_scan_solves_singer_once_per_point(monkeypatch):

@@ -106,6 +106,47 @@ def test_exit_code_for_bad_gram(capsys):
     assert "positive definite" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--tol-rank", "0"), ("--tol-rank", "-1"), ("--tol-rank", "1"), ("--tol-rank", "nan"),
+     ("--tol-rank", "inf"), ("--tol-case", "-1"), ("--tol-case", "nan"), ("--tol-case", "inf")],
+)
+def test_out_of_range_tolerances_exit_2(capsys, flag, value):
+    # --tol-rank 0 once reported index 0 on the line mu = sqrt(c), where it is 1
+    argv = ["classify", "--family", "c", "--c", "0.25", "--mu", "0.5", "--nu", "1", flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+
+
+def test_tol_case_zero_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--family", "c", "--c", "0.25", "--mu", "0.5", "--nu", "1",
+                           "--tol-case", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["symmetry"]["index"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["classify", "--family", "c", "--c", "0", "--gram", "nan", "0", "0", "0", "1", "0", "0", "0", "1"], 3),
+        (["classify", "--family", "c", "--c", "0", "--gram", "1", "0", "0", "0", "inf", "0", "0", "0", "1"], 3),
+        (["classify", "--family", "c", "--c", "0", "--mu", "inf", "--nu", "1"], 2),
+        (["classify", "--family", "c", "--c", "0", "--mu", "1", "--nu", "inf"], 2),
+        (["classify", "--family", "c", "--c", "1", "--lambda", "nan", "--nu", "1"], 2),
+        (["classify", "--family", "c", "--c", "nan", "--mu", "1", "--nu", "1"], 2),
+        (["table", "--family", "c", "--c", "nan"], 2),
+        (["scan", "--family", "c", "--c", "inf"], 2),
+    ],
+)
+def test_non_finite_input_is_rejected(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_exit_code_for_unwritable_output(capsys):
     code, _, err = run_cli(
         capsys,
@@ -315,6 +356,32 @@ def test_scan_csv_matches_golden_bytes(capsys, family, c, grid):
     assert code == 0
     name = f"scan_{family}{'' if c is None else f'{c:g}'}_grid{grid}.csv"
     assert out == (CLI_GOLDENS / name).read_bytes().decode("utf-8")
+
+
+# `lieiso classify --json` at one sample point of each row of `lieiso table`,
+# as printed before the tolerances that only one value reached became
+# constants and constant sectional curvature was decided once.
+CLASSIFY_GOLDENS = [
+    ("I", None, None), ("c", "-2", ("mu", "1.7")), ("c", "-2", ("mu", "2")), ("c", "0", ("mu", "2")),
+    ("c", "0", None), ("c", "0.25", ("mu", "0")), ("c", "0.25", ("mu", "0.7")), ("c", "0.25", ("mu", "0.5")),
+    ("c", "1", ("mu", "0.8")), ("c", "1", ("mu", "1")), ("c", "1", ("lambda", "0.8")),
+    ("c", "4", ("mu", "2.9")), ("c", "4", ("mu", "2")), ("c", "4", ("mu", "4")),
+]
+
+
+@pytest.mark.parametrize("family,c,param", CLASSIFY_GOLDENS)
+def test_classify_json_matches_golden_bytes(capsys, family, c, param):
+    argv = ["classify", "--family", family, "--nu", "1.5", "--json"]
+    name = f"classify_{family}"
+    if c is not None:
+        argv += ["--c", c]
+        name += c
+    if param is not None:
+        argv += [f"--{param[0]}", param[1]]
+        name += f"_{param[0]}{param[1]}"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (CLI_GOLDENS / f"{name}_nu1.5.json").read_bytes().decode("utf-8")
 
 
 @pytest.mark.parametrize("seed", [0, 7])

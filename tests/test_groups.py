@@ -7,6 +7,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.curvature import constant_sectional, curvature, levi_civita, ricci
 from lieiso.groups import (
+    FD_STEP,
+    FD_STEP_CURVATURE,
     bracket_field_residual,
     generator_block,
     inverse,
@@ -23,7 +25,6 @@ from lieiso.groups import (
     right_invariant_field,
 )
 from lieiso.metrics import metric_from_table
-from lieiso.settings import DEFAULT
 
 ALL_ALGEBRAS = [
     make_algebra_I(),
@@ -241,7 +242,7 @@ def _christoffels_at(alg, g, p, h):
 
 
 def _ricci_frame_at(alg, g, p):
-    h = DEFAULT.fd_step_curvature
+    h = FD_STEP_CURVATURE
     gamma = _christoffels_at(alg, g, p, h)
     dgamma = np.array([_fd1(lambda q: _christoffels_at(alg, g, q, h), p, a, h) for a in range(3)])
     d_term = np.einsum("iljk->ijkl", dgamma)
@@ -258,7 +259,7 @@ def _right_frame_at(alg, p):
 
 
 def _killing_residual_at(alg, g, field, p):
-    h = DEFAULT.fd_step
+    h = FD_STEP
     gp = _metric_at(alg, g, p)
     xp = np.asarray(field(p), float)
     dg = np.array([_fd1(lambda q: _metric_at(alg, g, q), p, a, h) for a in range(3)])
@@ -270,7 +271,7 @@ def _killing_residual_at(alg, g, field, p):
 
 
 def _bracket_residual_at(alg, p):
-    h = DEFAULT.fd_step
+    h = FD_STEP
     frame_p = _frame_at(alg, p)
     fields = [lambda q, i=i: _frame_at(alg, q)[:, i] for i in range(3)]
     dX = np.array([[_fd1(fields[j], p, a, h) for a in range(3)] for j in range(3)])

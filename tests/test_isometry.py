@@ -80,12 +80,12 @@ def _singer_without_prefilter(alg, g):
     """The Singer solve on the whole metric-skew algebra, with no Ricci prefilter."""
     tensors = curvature_derivatives(levi_civita(alg, g), alg)
     space = skew_algebra(g.coeffs)
-    blocks = [np.stack([so_action(m, t).comps.ravel() for m in space.mats], axis=1) for t in tensors]
-    scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space.mats)))
+    blocks = [np.stack([so_action(m, t).comps.ravel() for m in space], axis=1) for t in tensors]
+    scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space)))
     _, kernel = rank_and_kernel(np.vstack(blocks), DEFAULT.tol_rank, scale=scale)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
-    return _normalize_isotropy(canonical_matrix_basis(np.einsum("ks,sij->kij", kernel, space.mats)))
+    return _normalize_isotropy(canonical_matrix_basis(np.einsum("ks,sij->kij", kernel, space)))
 
 
 def test_ricci_prefilter_does_not_change_the_answer():

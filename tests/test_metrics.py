@@ -162,21 +162,21 @@ def test_skew_algebra_of_diagonal_form():
     # three-dimensional space with a canonical echelon basis.
     mu, nu = 2.0, 0.5
     space = skew_algebra(np.diag([1.0, mu, nu]), settings=DEFAULT)
-    assert space.dim == 3
+    assert len(space) == 3
     want = [
         np.array([[0.0, -mu, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         np.array([[0.0, 0.0, -nu], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
         np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -nu / mu], [0.0, 1.0, 0.0]]),
     ]
-    for got, expect in zip(space.mats, want):
+    for got, expect in zip(space, want):
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
 def test_skew_algebra_members_annihilate_the_form():
     gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
     space = skew_algebra(gram, settings=DEFAULT)
-    assert space.dim == 3
-    for a in space.mats:
+    assert len(space) == 3
+    for a in space:
         np.testing.assert_allclose(a.T @ gram + gram @ a, np.zeros((3, 3)), atol=1e-10)
 
 
@@ -187,7 +187,7 @@ def test_skew_algebra_degenerate_form():
     space = skew_algebra(
         np.diag([1.0, 1.0, 0.0]), allow_degenerate=True, settings=DEFAULT
     )
-    assert space.dim == 4  # degenerate forms have a larger stabilizer
+    assert len(space) == 4  # degenerate forms have a larger stabilizer
 
 
 @hyp_settings(max_examples=25, deadline=None)
@@ -196,8 +196,8 @@ def test_skew_algebra_dimension_three_for_random_spd(entries):
     a = np.array(entries).reshape(3, 3)
     gram = a.T @ a + 0.5 * np.eye(3)
     space = skew_algebra(gram, settings=DEFAULT)
-    assert space.dim == 3
-    for m in space.mats:
+    assert len(space) == 3
+    for m in space:
         np.testing.assert_allclose(m.T @ gram + gram @ m, np.zeros((3, 3)), atol=1e-8)
 
 

@@ -7,7 +7,8 @@ from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.errors import UnsupportedFamilyError
 from lieiso.isometry import analyze_metric
 from lieiso.metrics import metric_from_table, stratum_table
-from lieiso.symmetry import CERTIFICATE_TOL, index_of_symmetry, scan_moduli, strata_for_family
+from lieiso.reports import stratification_rows
+from lieiso.symmetry import CERTIFICATE_TOL, index_of_symmetry, scan_moduli
 
 NUS = [0.5, 1.0, 2.0]
 
@@ -149,16 +150,18 @@ def test_index_values_stay_in_range_on_random_draws():
 
 
 def test_strata_counts_per_family():
-    assert len(strata_for_family("I", None)) == 1
-    assert len(strata_for_family("c", -2.0)) == 2
-    assert len(strata_for_family("c", 0.0)) == 2
-    assert len(strata_for_family("c", 0.25)) == 3
-    assert len(strata_for_family("c", 1.0)) == 3
-    assert len(strata_for_family("c", 4.0)) == 3
+    assert len(stratum_table("I", None).strata) == 1
+    assert len(stratum_table("c", -2.0).strata) == 2
+    assert len(stratum_table("c", 0.0).strata) == 2
+    assert len(stratum_table("c", 0.25).strata) == 3
+    assert len(stratum_table("c", 1.0).strata) == 3
+    assert len(stratum_table("c", 4.0).strata) == 3
     with pytest.raises(UnsupportedFamilyError):
-        strata_for_family("c", None)
+        stratum_table("c", None)
     with pytest.raises(UnsupportedFamilyError):
-        strata_for_family("so3", 0.0)
+        stratum_table("so3", 0.0)
+    with pytest.raises(UnsupportedFamilyError):
+        stratification_rows("c", None)
 
 
 EXPECTED_STRATUM_INDEX = {
@@ -185,9 +188,9 @@ EXPECTED_STRATUM_INDEX = {
 )
 def test_stratum_samples_reproduce_their_index(family, c):
     alg = make_algebra_I() if family == "I" else make_algebra_c(c)
-    for stratum in strata_for_family(family, c):
+    for stratum in stratum_table(family, c).strata:
         want = EXPECTED_STRATUM_INDEX[stratum.key]
-        for params in stratum.sample_params:
+        for params in stratum.sample_params(3):
             g = metric_from_table(alg, **params)
             index, key = index_and_key(alg, g)
             assert key == stratum.key
