@@ -98,8 +98,8 @@ class StratumSpec(NamedTuple):
     """One stratum of a group's moduli space: one row of ``lieiso table``.
 
     ``boundary`` is the value of mu on a line mu = const, None otherwise;
-    ``interior(n)`` gives n sample values of the sheet parameter of an open
-    stratum.
+    ``samples`` holds the sheet parameter at the three sample points of an
+    open stratum.
     """
 
     key: str
@@ -107,14 +107,13 @@ class StratumSpec(NamedTuple):
     constraint: str
     boundary: float | None = None
     singular: bool = False
-    interior: Callable[[int], Sequence[float]] | None = None
+    samples: tuple[float, ...] = ()
 
-    def sample_params(self, n: int) -> tuple[dict[str, float], ...]:
-        """n sample points of the stratum, with nu on a geometric grid in [0.5, 2]."""
+    def sample_params(self) -> tuple[dict[str, float], ...]:
+        """The three sample points of the stratum, at nu = 0.5, 1 and 2."""
         param = SHEET_PARAMETER.get(self.metric_name)
-        values = [self.boundary] * n if self.interior is None else self.interior(n)
-        nus = np.geomspace(0.5, 2.0, n)
-        return tuple({param: v, "nu": float(nu)} if param else {"nu": float(nu)} for v, nu in zip(values, nus))
+        values = self.samples or (self.boundary,) * 3
+        return tuple({param: v, "nu": nu} if param else {"nu": nu} for v, nu in zip(values, (0.5, 1.0, 2.0)))
 
 
 #: The parameter that moves along each catalog sheet besides nu.
@@ -166,13 +165,13 @@ def stratum_table(family: str, c: float | None) -> StratumTable:
     if c < 0.0:
         strata = (
             StratumSpec("c<0:mu<|c|", METRIC_MU_NU, "0 < mu < |c|",
-                        interior=lambda n: [abs(c) * t for t in np.linspace(0.25, 0.85, n)]),
+                        samples=tuple(abs(c) * t for t in (0.25, 0.55, 0.85))),
             StratumSpec("c<0:mu=|c|", METRIC_MU_NU, "mu = |c|", abs(c), True),
         )
         scan_mu = lambda n: np.linspace(abs(c) / n, abs(c), n)
     elif c == 0.0:
         strata = (
-            StratumSpec("c=0:g_mu_nu", METRIC_MU_NU, "mu > 0", interior=lambda n: np.geomspace(0.5, 2.0, n)),
+            StratumSpec("c=0:g_mu_nu", METRIC_MU_NU, "mu > 0", samples=(0.5, 1.0, 2.0)),
             StratumSpec("c=0:g_nu", METRIC_NU, "nu > 0", singular=True),
         )
         scan_mu = lambda n: np.geomspace(0.4, 2.5, n)
@@ -181,25 +180,25 @@ def stratum_table(family: str, c: float | None) -> StratumTable:
         strata = (
             StratumSpec("0<c<1:mu=0", METRIC_MU_NU, "mu = 0", 0.0, True),
             StratumSpec("0<c<1:mu generic", METRIC_MU_NU, "0 < mu < 1, mu != sqrt(c)",
-                        interior=lambda n: [m for m in np.linspace(0.1, 0.9, n + 1) if abs(m - root) > 1e-3][:n]),
+                        samples=tuple(m for m in np.linspace(0.1, 0.9, 4) if abs(m - root) > 1e-3)[:3]),
             StratumSpec("0<c<1:mu=sqrt(c)", METRIC_MU_NU, "mu = sqrt(c)", root),
         )
         scan_mu = lambda n: np.linspace(0.0, 0.95, n)
         equality = False
     elif c == 1.0:
         strata = (
-            StratumSpec("c=1:mu<1", METRIC_MU_NU, "0 < mu < 1", interior=lambda n: np.linspace(0.3, 0.8, n)),
+            StratumSpec("c=1:mu<1", METRIC_MU_NU, "0 < mu < 1", samples=(0.3, 0.55, 0.8)),
             StratumSpec("c=1:mu=1", METRIC_MU_NU, "mu = 1", 1.0, True),
             StratumSpec("c=1:g_lambda_nu", METRIC_LAMBDA_NU, "0 < lam < 1",
-                        interior=lambda n: np.linspace(0.2, 0.8, n)),
+                        samples=(0.2, 0.5, 0.8)),
         )
         scan_mu = lambda n: np.linspace(1.0 / n, 1.0, n)
     else:
         special = (math.sqrt(c) - 1.0) ** 2 + 1.0
         strata = (
             StratumSpec("c>1:mu generic", METRIC_MU_NU, "1 < mu < c, mu != (sqrt(c)-1)^2+1",
-                        interior=lambda n: [m for m in np.linspace(1.0 + 0.1 * (c - 1.0), 1.0 + 0.9 * (c - 1.0), n + 1)
-                                            if abs(m - special) > 1e-3][:n]),
+                        samples=tuple(m for m in np.linspace(1.0 + 0.1 * (c - 1.0), 1.0 + 0.9 * (c - 1.0), 4)
+                                      if abs(m - special) > 1e-3)[:3]),
             StratumSpec("c>1:mu special", METRIC_MU_NU, "mu = (sqrt(c)-1)^2+1", special),
             StratumSpec("c>1:mu=c", METRIC_MU_NU, "mu = c", c, True),
         )

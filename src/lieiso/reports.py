@@ -206,7 +206,7 @@ def stratification_rows(
     for stratum in table.strata:
         indices = []
         generator = None
-        for params in stratum.sample_params(3):
+        for params in stratum.sample_params():
             g = metric_from_table(alg, **params, settings=settings)
             report = index_of_symmetry(analyze_metric(alg, g, settings))
             indices.append(report.index)

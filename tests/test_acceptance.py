@@ -232,7 +232,7 @@ def test_accept_06_stratification_table_and_no_index_two():
             alg = make_algebra_c(c)
             for stratum in stratum_table("c", c).strata:
                 seen.add(stratum.key)
-                for params in stratum.sample_params(3):
+                for params in stratum.sample_params():
                     g = metric_from_table(alg, **params)
                     report = index_of_symmetry(analyze_metric(alg, g))
                     assert report.index == EXPECTED_INDEX[stratum.key], (

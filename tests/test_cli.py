@@ -147,6 +147,40 @@ def test_non_finite_input_is_rejected(capsys, argv, code):
     assert err.startswith("error:") and "finite" in err
 
 
+SO31_CHECK = "3-dimensional isotropy must come with constant negative curvature"
+
+
+@pytest.mark.parametrize(
+    "argv,code,outcome",
+    [
+        (["--c", "4", "--gram", "1", "1", "0", "1", "4.000000001", "0", "0", "0", "1.5"], 0, "TranslationsOnly"),
+        (["--c", "4", "--gram", "1", "1", "0", "1", "4.000000001", "0", "0", "0", "1.5", "--tol-rank", "1e-6"],
+         1, SO31_CHECK),
+        (["--c", "4", "--gram", "1", "1", "0", "1", "4.000000001", "0", "0", "0", "1.5", "--tol-rank", "1e-5"],
+         1, SO31_CHECK),
+        (["--c", "4", "--mu", "3.9999999", "--nu", "1.5", "--tol-case", "0"], 0, "TranslationsOnly"),
+        (["--c", "4", "--mu", "3.9999999", "--nu", "1.5", "--tol-case", "0", "--tol-rank", "1e-6"],
+         0, "TranslationsOnly"),
+        (["--c", "4", "--mu", "3.9999999", "--nu", "1.5", "--tol-case", "0", "--tol-rank", "1e-5"],
+         1, SO31_CHECK),
+        # sectional curvatures spread by 3.1e-10 relative: constant at 1e-9
+        (["--c", "2", "--gram", "1", "1.0000000001", "0", "1.0000000001", "2", "0", "0", "0", "0.3",
+          "--tol-rank", "1e-4"], 0, "SO31"),
+        (["--c", "2", "--gram", "1", "1.000000001", "0", "1.000000001", "2", "0", "0", "0", "0.3",
+          "--tol-rank", "1e-4"], 1, SO31_CHECK),
+    ],
+)
+def test_outcomes_next_to_an_so31_line(capsys, argv, code, outcome):
+    # Constant sectional curvature is decided at 1e-9 whatever --tol-rank is;
+    # these outcomes were printed when the SO(3,1) check used tol_rank * 1e3.
+    got, out, err = run_cli(capsys, "classify", "--family", "c", "--json", *argv)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["isometry"]["group_tag"] == outcome
+    else:
+        assert err.strip() == f"error: {outcome}"
+
+
 def test_exit_code_for_unwritable_output(capsys):
     code, _, err = run_cli(
         capsys,

@@ -190,7 +190,7 @@ def test_stratum_samples_reproduce_their_index(family, c):
     alg = make_algebra_I() if family == "I" else make_algebra_c(c)
     for stratum in stratum_table(family, c).strata:
         want = EXPECTED_STRATUM_INDEX[stratum.key]
-        for params in stratum.sample_params(3):
+        for params in stratum.sample_params():
             g = metric_from_table(alg, **params)
             index, key = index_and_key(alg, g)
             assert key == stratum.key
