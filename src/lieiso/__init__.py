@@ -64,7 +64,6 @@ from .metrics import (
     snap_parameters,
 )
 from .reports import build_report, render_text, stratification_rows, to_json
-from .settings import DEFAULT, EngineSettings
 from .symmetry import (
     ModuliScanResult,
     SymmetryReport,
@@ -82,11 +81,9 @@ __all__ = [
     "METRIC_LAMBDA_NU",
     "METRIC_MU_NU",
     "METRIC_NU",
-    "DEFAULT",
     "ConnectionOperator",
     "CovTensor",
     "DegenerateFormError",
-    "EngineSettings",
     "InnerProduct",
     "InternalConsistencyError",
     "IsometryDescriptor",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .reports import (
     stratification_rows,
     to_json,
 )
-from .settings import DEFAULT, EngineSettings
 from .symmetry import scan_moduli
 
 #: Representative groups covering every stratification row.
@@ -69,16 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
     def add_common(p: argparse.ArgumentParser, need_family: bool) -> None:
         p.add_argument("--family", choices=[FAMILY_I, FAMILY_C], required=need_family,
                        help="group family: I or c")
         p.add_argument("--c", type=float, default=None,
-                       help="family-c parameter (determinant of the defining block)")
-        p.add_argument("--tol-rank", type=float, default=None,
-                       help=f"relative rank cutoff, 0 < x < 1 (default {DEFAULT.tol_rank})")
-        p.add_argument("--tol-case", type=float, default=None,
-                       help=f"stratum-boundary snap tolerance, x >= 0 (default {DEFAULT.tol_case})")
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+                       help="family-c parameter (determinant of the defining block), only with --family c")
+        add_out(p)
 
     p_classify = sub.add_parser("classify", help="classify one left-invariant metric")
     add_common(p_classify, need_family=True)
@@ -98,27 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan a moduli space of metrics")
     add_common(p_scan, need_family=True)
     p_scan.add_argument("--format", choices=["csv", "json"], default="json")
-    p_scan.add_argument("--grid", type=int, default=None,
-                        help="alias of --grid-mu: sets the mu/lambda grid, not the nu grid")
-    p_scan.add_argument("--grid-mu", type=int, default=None, help="points along the mu/lambda direction")
-    p_scan.add_argument("--grid-nu", type=int, default=None, help="points along the nu direction")
+    p_scan.add_argument("--grid-mu", type=int, default=9, help="points along the mu/lambda direction")
+    p_scan.add_argument("--grid-nu", type=int, default=3, help="points along the nu direction")
 
     p_verify = sub.add_parser("verify", help="run built-in self-checks")
-    add_common(p_verify, need_family=False)
+    add_out(p_verify)
     p_verify.add_argument("--which", choices=["metrics", "symmetry"], default=None,
                           help="run only one group of checks (default: all)")
     p_verify.add_argument("--points", type=int, default=20, help="random draws per check")
     p_verify.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _settings_from_args(args: argparse.Namespace) -> EngineSettings:
-    settings = DEFAULT
-    if args.tol_rank is not None:
-        settings = replace(settings, tol_rank=args.tol_rank)
-    if args.tol_case is not None:
-        settings = replace(settings, tol_case=args.tol_case)
-    return settings
 
 
 def _algebra_from_args(args: argparse.Namespace):
@@ -137,15 +123,15 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _cmd_classify(args: argparse.Namespace, settings: EngineSettings) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     alg = _algebra_from_args(args)
     if args.gram is not None:
         if args.mu is not None or args.nu is not None or args.lam is not None:
             raise RangeError("give either --gram or catalog parameters, not both")
         g = inner_product_from_gram(np.array(args.gram, dtype=float).reshape(3, 3))
     else:
-        g = metric_from_table(alg, mu=args.mu, nu=args.nu, lam=args.lam, settings=settings)
-    report = build_report(alg, g, settings)
+        g = metric_from_table(alg, mu=args.mu, nu=args.nu, lam=args.lam)
+    report = build_report(alg, g)
     _emit(to_json(report) if args.json else render_text(report), args.out)
     return 0
 
@@ -160,10 +146,10 @@ def _groups_from_args(args: argparse.Namespace) -> list[tuple[str, float | None]
     return [(FAMILY_C, float(args.c))]
 
 
-def _cmd_table(args: argparse.Namespace, settings: EngineSettings) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     rows = []
     for family, c in _groups_from_args(args):
-        rows.extend(stratification_rows(family, c, settings))
+        rows.extend(stratification_rows(family, c))
     if args.format == "csv":
         _emit(rows_to_csv(rows, TABLE_COLUMNS), args.out)
     else:
@@ -171,10 +157,8 @@ def _cmd_table(args: argparse.Namespace, settings: EngineSettings) -> int:
     return 0
 
 
-def _cmd_scan(args: argparse.Namespace, settings: EngineSettings) -> int:
-    grid_mu = args.grid_mu if args.grid_mu is not None else (args.grid if args.grid is not None else 9)
-    grid_nu = args.grid_nu if args.grid_nu is not None else 3
-    result = scan_moduli(args.family, args.c, grid_mu=grid_mu, grid_nu=grid_nu, settings=settings)
+def _cmd_scan(args: argparse.Namespace) -> int:
+    result = scan_moduli(args.family, args.c, grid_mu=args.grid_mu, grid_nu=args.grid_nu)
     if args.format == "csv":
         _emit(rows_to_csv(scan_point_rows(result), SCAN_COLUMNS), args.out)
     else:
@@ -207,15 +191,15 @@ def _random_cases(points: int, seed: int) -> list[tuple[str, float | None, dict[
     return cases
 
 
-def _check_metrics(points: int, seed: int, settings: EngineSettings, out: list[str]) -> bool:
+def _check_metrics(points: int, seed: int, out: list[str]) -> bool:
     """Cross-check the algebraic curvature/Killing data against finite differences."""
     ok = True
     cases = _random_cases(points, seed)
     rng = np.random.default_rng(seed + 1)
     for n, (family, c, params) in enumerate(cases):
         alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(c)
-        g = metric_from_table(alg, settings=settings, **params)
-        analysis = analyze_metric(alg, g, settings)
+        g = metric_from_table(alg, **params)
+        analysis = analyze_metric(alg, g)
         ric = analysis.ric
         ka = killing_algebra(analysis)
         p = rng.uniform(-0.4, 0.4, size=3)
@@ -235,10 +219,10 @@ def _check_metrics(points: int, seed: int, settings: EngineSettings, out: list[s
     return ok
 
 
-def _check_symmetry(settings: EngineSettings, out: list[str]) -> bool:
+def _check_symmetry(out: list[str]) -> bool:
     ok = True
     for family, c in DEFAULT_GROUPS:
-        result = scan_moduli(family, c, grid_mu=7, grid_nu=2, settings=settings)
+        result = scan_moduli(family, c, grid_mu=7, grid_nu=2)
         good = result.passed
         ok &= good
         tag = "ok  " if good else "FAIL"
@@ -250,15 +234,15 @@ def _check_symmetry(settings: EngineSettings, out: list[str]) -> bool:
     return ok
 
 
-def _cmd_verify(args: argparse.Namespace, settings: EngineSettings) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise RangeError(f"--points must be at least 1, got {args.points}")
     lines: list[str] = []
     ok = True
     if args.which in (None, "metrics"):
-        ok &= _check_metrics(args.points, args.seed, settings, lines)
+        ok &= _check_metrics(args.points, args.seed, lines)
     if args.which in (None, "symmetry"):
-        ok &= _check_symmetry(settings, lines)
+        ok &= _check_symmetry(lines)
     lines.append("PASS" if ok else "FAIL")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
@@ -271,14 +255,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        settings = _settings_from_args(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.c is not None and args.family != FAMILY_C:
+            raise RangeError("--c applies only to --family c")
         if args.command == "classify":
-            return _cmd_classify(args, settings)
+            return _cmd_classify(args)
         if args.command == "table":
-            return _cmd_table(args, settings)
-        if args.command == "scan":
-            return _cmd_scan(args, settings)
-        return _cmd_verify(args, settings)
+            return _cmd_table(args)
+        return _cmd_scan(args)
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

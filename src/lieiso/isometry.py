@@ -37,7 +37,6 @@ from .curvature import (
 from .errors import InternalConsistencyError, UnsupportedFamilyError
 from .linalg import rank_and_kernel, canonical_matrix_basis
 from .metrics import InnerProduct, intersect_skew, skew_algebra
-from .settings import DEFAULT, EngineSettings
 
 #: Tolerance for re-projecting Killing brackets onto the generator basis.
 CLOSURE_TOL = 1e-8
@@ -65,9 +64,7 @@ class IsometryDescriptor:
     isotropy_dim: int
     total_dim: int
     isotropy_generators: np.ndarray  # (k, 3, 3)
-    symmetric_space: bool
     sectional_constant: float | None
-    boundary_snapped: bool
 
 
 def right_invariant_b(alg: LieAlgebra3, conn: ConnectionOperator, v: np.ndarray) -> np.ndarray:
@@ -96,7 +93,6 @@ def singer_isotropy(
     g: InnerProduct,
     tensors: tuple[CovTensor, CovTensor, CovTensor],
     ric: np.ndarray,
-    settings: EngineSettings = DEFAULT,
 ) -> np.ndarray:
     """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
 
@@ -106,9 +102,9 @@ def singer_isotropy(
     (which contains every solution, since Ricci is a curvature contraction);
     this never changes the answer and the tests assert as much.
     """
-    space = skew_algebra(g.coeffs, settings=settings)
-    ric_stab = skew_algebra(ric, allow_degenerate=True, settings=settings)
-    space = intersect_skew(space, ric_stab, settings)
+    space = skew_algebra(g.coeffs)
+    ric_stab = skew_algebra(ric, allow_degenerate=True)
+    space = intersect_skew(space, ric_stab)
     if len(space) == 0:
         return np.zeros((0, 3, 3))
 
@@ -121,7 +117,7 @@ def singer_isotropy(
     # the natural scale of the residual system: basis size times tensor size
     # (for a symmetric space the whole matrix is rounding noise)
     scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space)))
-    _, kernel = rank_and_kernel(np.vstack(blocks), settings.tol_rank, scale=scale)
+    _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
     mats = np.einsum("ks,sij->kij", kernel, space)
@@ -145,12 +141,12 @@ class MetricAnalysis:
     """The data every classifier reads, computed once per metric.
 
     ``symmetric`` is the one parallel-curvature decision (nabla R = 0 relative
-    to the size of R); ``isotropy`` is the Singer isotropy basis (k, 3, 3).
+    to the size of R); ``isotropy`` is the Singer isotropy basis (k, 3, 3);
+    ``right_b[i]`` is the derivative B of the right-invariant field of value e_i.
     """
 
     alg: LieAlgebra3
     g: InnerProduct
-    settings: EngineSettings
     conn: ConnectionOperator
     curv: CovTensor
     nabla_r: CovTensor
@@ -158,10 +154,11 @@ class MetricAnalysis:
     ric: np.ndarray
     symmetric: bool
     isotropy: np.ndarray
+    right_b: np.ndarray
 
 
-def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT) -> MetricAnalysis:
-    """Connection, R, nabla R, nabla^2 R, Ricci and isotropy of one metric."""
+def analyze_metric(alg: LieAlgebra3, g: InnerProduct) -> MetricAnalysis:
+    """Connection, R, nabla R, nabla^2 R, Ricci, isotropy and the right-invariant B of one metric."""
     conn = levi_civita(alg, g)
     tensors = tuple(curvature_derivatives(conn, alg))
     curv, nabla_r, nabla2_r = tensors
@@ -169,14 +166,14 @@ def analyze_metric(alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings =
     return MetricAnalysis(
         alg=alg,
         g=g,
-        settings=settings,
         conn=conn,
         curv=curv,
         nabla_r=nabla_r,
         nabla2_r=nabla2_r,
         ric=ric,
         symmetric=nabla_r.norm() <= 1e-9 * max(1.0, curv.norm()),
-        isotropy=singer_isotropy(g, tensors, ric, settings),
+        isotropy=singer_isotropy(g, tensors, ric),
+        right_b=np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)]),
     )
 
 
@@ -202,12 +199,9 @@ def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     is re-expanded in the basis; a projection residual above CLOSURE_TOL
     raises InternalConsistencyError since the Killing algebra must close.
     """
-    alg, conn, curv, iso = a.alg, a.conn, a.curv, a.isotropy
+    curv, iso = a.curv, a.isotropy
 
-    gens = [
-        KillingGenerator(v=np.eye(3)[i], b=right_invariant_b(alg, conn, np.eye(3)[i]), label=f"r{i}")
-        for i in range(3)
-    ]
+    gens = [KillingGenerator(v=np.eye(3)[i], b=a.right_b[i], label=f"r{i}") for i in range(3)]
     gens += [KillingGenerator(v=np.zeros(3), b=mat, label=f"A{j + 1}") for j, mat in enumerate(iso)]
 
     n = len(gens)
@@ -308,7 +302,5 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
         isotropy_dim=k,
         total_dim=3 + k,
         isotropy_generators=iso,
-        symmetric_space=symmetric,
         sectional_constant=sec,
-        boundary_snapped=g.boundary_snapped,
     )

@@ -1,7 +1,7 @@
 """Dense linear-algebra helpers: rank/kernel decisions and canonical bases.
 
-Every rank decision in the package funnels through :func:`rank_and_kernel`
-so that the relative cutoff is applied uniformly.
+Every rank decision in the package funnels through :func:`rank_and_kernel`,
+which applies the one relative cutoff ``RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -17,19 +17,21 @@ from .errors import NonPositiveDefiniteError
 MATRIX_PIVOT_ORDER = [(1, 0), (2, 0), (2, 1), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 _FLAT_PIVOTS = [3 * i + j for i, j in MATRIX_PIVOT_ORDER]
 
+#: A singular value counts as zero below RANK_TOL times the scale of its matrix.
+#: Rank jumps are where the classification switches strata, so this cutoff
+#: decides borderline cases.
+RANK_TOL = 1e-9
 #: Entries below PIVOT_TOL * max(1, max|entry|) are not taken as pivots.
 PIVOT_TOL = 1e-12
 #: Largest asymmetry |G - G^T| a Gram matrix may have, relative to max(1, max|G|).
 SYMMETRY_TOL = 1e-10
 
 
-def rank_and_kernel(
-    m: np.ndarray, tol_rank: float, scale: float | None = None
-) -> tuple[int, np.ndarray]:
+def rank_and_kernel(m: np.ndarray, *, scale: float | None = None) -> tuple[int, np.ndarray]:
     """Rank of ``m`` and an orthonormal basis of its (right) null space.
 
     Returns ``(rank, kernel)`` where ``kernel`` has one row per null vector.
-    The cutoff is relative: singular values below ``tol_rank * scale`` are
+    The cutoff is relative: singular values below ``RANK_TOL * scale`` are
     treated as zero, where ``scale`` defaults to ``max|m|``.  Callers solving
     a residual system (where the whole matrix may be numerically zero) must
     pass the natural scale of the data the matrix was built from; otherwise
@@ -49,7 +51,7 @@ def rank_and_kernel(
     if scale <= 0.0:
         return 0, np.eye(ncols)
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < ncols)
-    rank = int(np.sum(s > tol_rank * scale))
+    rank = int(np.sum(s > RANK_TOL * scale))
     return rank, vt[rank:]
 
 

@@ -34,12 +34,15 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .errors import DegenerateFormError, RangeError, UnsupportedFamilyError
 from .linalg import canonical_matrix_basis, check_spd, rank_and_kernel
-from .settings import DEFAULT, EngineSettings
 
 METRIC_NU = "g_nu"
 METRIC_MU_NU = "g_mu_nu"
 METRIC_LAMBDA_NU = "g_lambda_nu"
 METRIC_GRAM = "gram"
+
+#: A parameter closer than TOL_CASE to a stratum boundary (but not on it) is
+#: snapped onto the boundary.
+TOL_CASE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -206,23 +209,18 @@ def stratum_table(family: str, c: float | None) -> StratumTable:
     return StratumTable(c, strata, equality, scan_mu)
 
 
-def _snap(value: float, targets: list[float], tol: float) -> tuple[float, bool]:
+def _snap(value: float, targets: list[float]) -> tuple[float, bool]:
     for t in targets:
-        if value != t and abs(value - t) < tol:
+        if value != t and abs(value - t) < TOL_CASE:
             return t, True
     return value, False
 
 
-def snap_parameters(
-    alg: LieAlgebra3,
-    name: str,
-    params: dict[str, float],
-    settings: EngineSettings = DEFAULT,
-) -> tuple[dict[str, float], bool]:
+def snap_parameters(alg: LieAlgebra3, name: str, params: dict[str, float]) -> tuple[dict[str, float], bool]:
     """Snap metric parameters onto nearby stratum boundaries.
 
     Classification strata are cut out by exact parameter coincidences
-    (mu = |c|, mu = sqrt(c), mu = c, ...).  Parameters within ``tol_case`` of
+    (mu = |c|, mu = sqrt(c), mu = c, ...).  Parameters within ``TOL_CASE`` of
     such a value are replaced by it, and the second return value records
     whether anything moved.  The boundary lines of ``stratum_table`` are
     tried singular line first; lam snaps onto 0, where the second c = 1
@@ -233,7 +231,7 @@ def snap_parameters(
         return dict(params), False
     targets = [0.0] if name == METRIC_LAMBDA_NU else stratum_table(FAMILY_C, alg.c).lines()
     out = dict(params)
-    out[param], snapped = _snap(float(params[param]), targets, settings.tol_case)
+    out[param], snapped = _snap(float(params[param]), targets)
     return out, snapped
 
 
@@ -243,13 +241,12 @@ def metric_from_table(
     mu: float | None = None,
     nu: float | None = None,
     lam: float | None = None,
-    settings: EngineSettings = DEFAULT,
 ) -> InnerProduct:
     """Build a catalog inner product for ``alg`` from its parameters.
 
     Exactly one parameter signature is accepted per family (see the module
     docstring).  Out-of-range parameters raise RangeError naming the violated
-    constraint; parameters within ``tol_case`` of a stratum boundary are
+    constraint; parameters within ``TOL_CASE`` of a stratum boundary are
     snapped onto it first and the result is flagged as boundary-snapped.
     """
     if alg.family not in (FAMILY_I, FAMILY_C):
@@ -275,7 +272,7 @@ def metric_from_table(
     if lam is not None:
         if c != 1.0:
             raise RangeError("the two-parameter metric g_lambda_nu exists only at c = 1")
-        params, snapped = snap_parameters(alg, METRIC_LAMBDA_NU, {"lam": float(lam), "nu": nu}, settings)
+        params, snapped = snap_parameters(alg, METRIC_LAMBDA_NU, {"lam": float(lam), "nu": nu})
         lam = params["lam"]
         if not 0.0 <= lam < 1.0:
             raise RangeError(f"lam={lam} violates the catalog constraint 0 <= lam < 1")
@@ -291,7 +288,7 @@ def metric_from_table(
             return InnerProduct(g, METRIC_NU, {"nu": nu})
         raise RangeError("the one-parameter metric g_nu exists only at c = 0 (or for family I)")
 
-    params, snapped = snap_parameters(alg, METRIC_MU_NU, {"mu": float(mu), "nu": nu}, settings)
+    params, snapped = snap_parameters(alg, METRIC_MU_NU, {"mu": float(mu), "nu": nu})
     mu = params["mu"]
     if c < 0.0:
         if not 0.0 < mu <= abs(c):
@@ -327,12 +324,7 @@ def _skew_operator(s: np.ndarray) -> np.ndarray:
     return (np.einsum("kj,li->ijkl", s, eye) + np.einsum("ik,lj->ijkl", s, eye)).reshape(9, 9)
 
 
-def skew_algebra(
-    form: np.ndarray,
-    *,
-    allow_degenerate: bool = False,
-    settings: EngineSettings = DEFAULT,
-) -> np.ndarray:
+def skew_algebra(form: np.ndarray, *, allow_degenerate: bool = False) -> np.ndarray:
     """Solve M^T S + S M = 0 for a symmetric 3x3 form S; a canonical basis (k, 3, 3).
 
     For a nondegenerate S the solution space is 3-dimensional.  Degenerate
@@ -342,20 +334,20 @@ def skew_algebra(
     """
     s = np.asarray(form, dtype=float)
     s = 0.5 * (s + s.T)
-    rank, _ = rank_and_kernel(s, settings.tol_rank)
+    rank, _ = rank_and_kernel(s)
     if rank < 3 and not allow_degenerate:
         raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
 
-    _, kernel = rank_and_kernel(_skew_operator(s), settings.tol_rank)
+    _, kernel = rank_and_kernel(_skew_operator(s))
     return canonical_matrix_basis(kernel.reshape(-1, 3, 3))
 
 
-def intersect_skew(a: np.ndarray, b: np.ndarray, settings: EngineSettings = DEFAULT) -> np.ndarray:
+def intersect_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection of the spans of two stacks (k, 3, 3) of matrices, canonically re-based."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros((0, 3, 3))
     stacked = np.hstack([a.reshape(len(a), 9).T, -b.reshape(len(b), 9).T])
-    _, kernel = rank_and_kernel(stacked, settings.tol_rank)
+    _, kernel = rank_and_kernel(stacked)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
     combos = kernel[:, : len(a)] @ a.reshape(len(a), 9)

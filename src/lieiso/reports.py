@@ -23,8 +23,8 @@ from .curvature import (
 )
 from .errors import InternalConsistencyError
 from .isometry import CLOSURE_TOL, analyze_metric, classify_isometry_group, killing_algebra, killing_form
-from .metrics import InnerProduct, metric_from_table, stratum_table
-from .settings import DEFAULT, EngineSettings
+from .linalg import RANK_TOL
+from .metrics import TOL_CASE, InnerProduct, metric_from_table, stratum_table
 from .symmetry import CERTIFICATE_TOL, ModuliScanResult, index_of_symmetry
 
 SCHEMA_VERSION = "1.0"
@@ -53,11 +53,9 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
-def build_report(
-    alg: LieAlgebra3, g: InnerProduct, settings: EngineSettings = DEFAULT
-) -> dict[str, Any]:
+def build_report(alg: LieAlgebra3, g: InnerProduct) -> dict[str, Any]:
     """Full classification report for one left-invariant metric."""
-    analysis = analyze_metric(alg, g, settings)
+    analysis = analyze_metric(alg, g)
     conn, curv, ric = analysis.conn, analysis.curv, analysis.ric
     scal = scalar_curvature(ric, g)
 
@@ -86,22 +84,22 @@ def build_report(
                 "params": dict(g.params),
                 "boundary_snapped": bool(g.boundary_snapped),
                 "tolerances": {
-                    "tol_rank": settings.tol_rank,
-                    "tol_case": settings.tol_case,
+                    "tol_rank": RANK_TOL,
+                    "tol_case": TOL_CASE,
                 },
             },
             "curvature": {
                 "ricci": ric,
                 "scalar": scal,
                 "sectional_constant": descriptor.sectional_constant,
-                "parallel_curvature": bool(descriptor.symmetric_space),
+                "parallel_curvature": analysis.symmetric,
             },
             "isometry": {
                 "group_tag": descriptor.group_tag.value,
                 "total_dim": descriptor.total_dim,
                 "isotropy_dim": descriptor.isotropy_dim,
                 "isotropy_generators": list(descriptor.isotropy_generators),
-                "symmetric_space": bool(descriptor.symmetric_space),
+                "symmetric_space": analysis.symmetric,
             },
             "killing": {
                 "basis_labels": list(ka.labels),
@@ -190,11 +188,7 @@ def _generator_cell(index: int, generator) -> str:
     return _fmt_vec(generator)
 
 
-def stratification_rows(
-    family: str,
-    c: float | None,
-    settings: EngineSettings = DEFAULT,
-) -> list[dict[str, str]]:
+def stratification_rows(family: str, c: float | None) -> list[dict[str, str]]:
     """One CSV-ready row per symmetry stratum of one group.
 
     The index and generator are computed at every sample point of the
@@ -207,8 +201,8 @@ def stratification_rows(
         indices = []
         generator = None
         for params in stratum.sample_params():
-            g = metric_from_table(alg, **params, settings=settings)
-            report = index_of_symmetry(analyze_metric(alg, g, settings))
+            g = metric_from_table(alg, **params)
+            report = index_of_symmetry(analyze_metric(alg, g))
             indices.append(report.index)
             generator = report.generator if report.generator is not None else generator
         if len(set(indices)) != 1:

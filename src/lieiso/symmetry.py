@@ -27,10 +27,9 @@ import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
 from .errors import InternalConsistencyError, RangeError, UnsupportedFamilyError
-from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group, right_invariant_b
+from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group
 from .linalg import rank_and_kernel
 from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table
-from .settings import DEFAULT, EngineSettings
 
 #: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
 CERTIFICATE_TOL = 1e-9
@@ -40,9 +39,7 @@ CERTIFICATE_TOL = 1e-9
 class SymmetryReport:
     index: int
     generator: np.ndarray | None  # e-frame vector spanning the distribution, index 1 only
-    symmetric_space: bool
     certificate_residual: float
-    boundary_snapped: bool = False
 
 
 def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
@@ -52,19 +49,18 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     generators are linearly independent, so the kernel projects injectively
     onto v-space and its dimension equals the index.
     """
-    symmetric, iso = a.symmetric, a.isotropy
-    b_basis = [right_invariant_b(a.alg, a.conn, np.eye(3)[i]) for i in range(3)]
+    iso, b_basis = a.isotropy, a.right_b
     cols = [b.ravel() for b in b_basis]
     cols += [mat.ravel() for mat in iso]
     m = np.stack(cols, axis=1)
-    _, kernel = rank_and_kernel(m, a.settings.tol_rank)
+    _, kernel = rank_and_kernel(m)
     index = len(kernel)
 
     if index == 2:
         raise InternalConsistencyError("index of symmetry 2 is impossible in this family")
     if index not in (0, 1, 3):
         raise InternalConsistencyError(f"index of symmetry {index} out of range")
-    if symmetric and index != 3:
+    if a.symmetric and index != 3:
         raise InternalConsistencyError("parallel curvature must give the full index")
 
     generator = None
@@ -87,9 +83,7 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     return SymmetryReport(
         index=index,
         generator=generator,
-        symmetric_space=symmetric,
         certificate_residual=residual,
-        boundary_snapped=a.g.boundary_snapped,
     )
 
 
@@ -131,7 +125,6 @@ def scan_moduli(
     c: float | None = None,
     grid_mu: int = 9,
     grid_nu: int = 3,
-    settings: EngineSettings = DEFAULT,
 ) -> ModuliScanResult:
     """Scan a group's moduli space of metrics and audit the singular locus.
 
@@ -167,8 +160,8 @@ def scan_moduli(
 
     points: list[ScanPoint] = []
     for name, params in jobs:
-        g = metric_from_table(alg, **params, settings=settings)
-        analysis = analyze_metric(alg, g, settings)
+        g = metric_from_table(alg, **params)
+        analysis = analyze_metric(alg, g)
         report = index_of_symmetry(analysis)
         descriptor = classify_isometry_group(analysis)
         stratum = table.locate(g)

@@ -176,9 +176,9 @@ def test_accept_05_symmetric_cases_and_isometric_twins():
                 d = classify_isometry_group(analyze_metric(alg, g))
                 assert d.group_tag is IsometryGroupTag.SO31
             g = metric_from_table(make_algebra_c(0.0), nu=nu)
-            d = classify_isometry_group(analyze_metric(make_algebra_c(0.0), g))
-            assert d.group_tag is IsometryGroupTag.E1_X_SO21
-            assert d.symmetric_space
+            a = analyze_metric(make_algebra_c(0.0), g)
+            assert classify_isometry_group(a).group_tag is IsometryGroupTag.E1_X_SO21
+            assert a.symmetric
         # two non-isomorphic groups with identical curvature reports
         for nu in (1.0, 2.0):
             report = {}

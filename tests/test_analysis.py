@@ -17,11 +17,13 @@ from lieiso.symmetry import index_of_symmetry, scan_moduli
 LEVI_CIVITA = importlib.import_module("lieiso.curvature").levi_civita
 SINGER_ISOTROPY = importlib.import_module("lieiso.isometry").singer_isotropy
 CONSTANT_SECTIONAL = importlib.import_module("lieiso.curvature").constant_sectional
+RIGHT_INVARIANT_B = importlib.import_module("lieiso.isometry").right_invariant_b
 
 
-def _count_calls(monkeypatch, fn) -> list:
+def _count_calls(monkeypatch, fn, importers: int = 1) -> list:
     """Replace ``fn`` under every name that binds it in a lieiso module with
-    a wrapper that records each call."""
+    a wrapper that records each call.  ``importers``: the least number of
+    modules besides the defining one expected to bind ``fn``."""
     calls: list = []
 
     def counting(*args, **kwargs):
@@ -36,7 +38,7 @@ def _count_calls(monkeypatch, fn) -> list:
             if obj is fn:
                 monkeypatch.setattr(mod, attr, counting)
                 bindings += 1
-    assert bindings >= 2  # the defining module and at least one importer
+    assert bindings >= 1 + importers
     return calls
 
 
@@ -49,6 +51,16 @@ def test_build_report_computes_connection_and_isotropy_once(monkeypatch):
     assert to_json(build_report(alg, g)) == want
     assert len(lc) == 1
     assert len(singer) == 1
+
+
+def test_build_report_builds_each_right_invariant_derivative_once(monkeypatch):
+    # killing_algebra and index_of_symmetry both read B of r_e0, r_e1, r_e2
+    alg = make_algebra_c(0.25)
+    g = metric_from_table(alg, mu=0.5, nu=1.3)
+    want = to_json(build_report(alg, g))
+    calls = _count_calls(monkeypatch, RIGHT_INVARIANT_B, importers=0)
+    assert to_json(build_report(alg, g)) == want
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("family,c,params", [
@@ -97,4 +109,3 @@ def test_shared_analysis_gives_the_same_answers(monkeypatch):
     np.testing.assert_array_equal(ka.generators[3].b, analysis.isotropy[0])
     assert sym.index == 1
     np.testing.assert_allclose(sym.generator, [1.0, -0.5, 0.0], atol=1e-9)
-    assert descriptor.symmetric_space is sym.symmetric_space is analysis.symmetric

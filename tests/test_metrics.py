@@ -15,7 +15,6 @@ from lieiso.metrics import (
     skew_algebra,
     snap_parameters,
 )
-from lieiso.settings import DEFAULT
 
 
 def test_family_I_metric_is_scaled_identity_block():
@@ -161,7 +160,7 @@ def test_skew_algebra_of_diagonal_form():
     # For diag(1, mu, nu) the compatible skew operators form a
     # three-dimensional space with a canonical echelon basis.
     mu, nu = 2.0, 0.5
-    space = skew_algebra(np.diag([1.0, mu, nu]), settings=DEFAULT)
+    space = skew_algebra(np.diag([1.0, mu, nu]))
     assert len(space) == 3
     want = [
         np.array([[0.0, -mu, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -174,7 +173,7 @@ def test_skew_algebra_of_diagonal_form():
 
 def test_skew_algebra_members_annihilate_the_form():
     gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
-    space = skew_algebra(gram, settings=DEFAULT)
+    space = skew_algebra(gram)
     assert len(space) == 3
     for a in space:
         np.testing.assert_allclose(a.T @ gram + gram @ a, np.zeros((3, 3)), atol=1e-10)
@@ -182,11 +181,9 @@ def test_skew_algebra_members_annihilate_the_form():
 
 def test_skew_algebra_degenerate_form():
     with pytest.raises(DegenerateFormError) as err:
-        skew_algebra(np.diag([1.0, 1.0, 0.0]), settings=DEFAULT)
+        skew_algebra(np.diag([1.0, 1.0, 0.0]))
     assert err.value.rank == 2
-    space = skew_algebra(
-        np.diag([1.0, 1.0, 0.0]), allow_degenerate=True, settings=DEFAULT
-    )
+    space = skew_algebra(np.diag([1.0, 1.0, 0.0]), allow_degenerate=True)
     assert len(space) == 4  # degenerate forms have a larger stabilizer
 
 
@@ -195,7 +192,7 @@ def test_skew_algebra_degenerate_form():
 def test_skew_algebra_dimension_three_for_random_spd(entries):
     a = np.array(entries).reshape(3, 3)
     gram = a.T @ a + 0.5 * np.eye(3)
-    space = skew_algebra(gram, settings=DEFAULT)
+    space = skew_algebra(gram)
     assert len(space) == 3
     for m in space:
         np.testing.assert_allclose(m.T @ gram + gram @ m, np.zeros((3, 3)), atol=1e-8)
@@ -203,7 +200,7 @@ def test_skew_algebra_dimension_three_for_random_spd(entries):
 
 def test_snap_tries_the_singular_line_first():
     # Near c = 1 the lines mu = c and mu = (sqrt(c)-1)^2+1 are both within
-    # tol_case; the singular line mu = c wins.
+    # TOL_CASE; the singular line mu = c wins.
     alg = make_algebra_c(1.0 + 1e-8)
     params, moved = snap_parameters(alg, METRIC_MU_NU, {"mu": 1.0 + 5e-9, "nu": 1.0})
     assert moved and params["mu"] == alg.c

@@ -13,8 +13,12 @@ from lieiso.symmetry import CERTIFICATE_TOL, index_of_symmetry, scan_moduli
 NUS = [0.5, 1.0, 2.0]
 
 
+def analysis_for(alg, **kwargs):
+    return analyze_metric(alg, metric_from_table(alg, **kwargs))
+
+
 def report_for(alg, **kwargs):
-    return index_of_symmetry(analyze_metric(alg, metric_from_table(alg, **kwargs)))
+    return index_of_symmetry(analysis_for(alg, **kwargs))
 
 
 def index_and_key(alg, g):
@@ -24,9 +28,10 @@ def index_and_key(alg, g):
 
 @pytest.mark.parametrize("nu", NUS)
 def test_family_I_has_full_index(nu):
-    r = report_for(make_algebra_I(), nu=nu)
+    a = analysis_for(make_algebra_I(), nu=nu)
+    r = index_of_symmetry(a)
     assert r.index == 3
-    assert r.symmetric_space
+    assert a.symmetric
     assert r.generator is None
     assert r.certificate_residual <= CERTIFICATE_TOL
 
@@ -36,12 +41,13 @@ def test_c_zero_sheets(nu):
     alg = make_algebra_c(0.0)
     # diagonal sheet: index 1 along (1, -1/2, 0) for every mu
     for mu in (0.5, 1.0, 2.0):
-        r = report_for(alg, mu=mu, nu=nu)
-        assert r.index == 1 and not r.symmetric_space
+        a = analysis_for(alg, mu=mu, nu=nu)
+        r = index_of_symmetry(a)
+        assert r.index == 1 and not a.symmetric
         np.testing.assert_allclose(r.generator, [1.0, -0.5, 0.0], atol=1e-9)
     # one-parameter sheet: a symmetric product, full index
-    r = report_for(alg, nu=nu)
-    assert r.index == 3 and r.symmetric_space
+    a = analysis_for(alg, nu=nu)
+    assert index_of_symmetry(a).index == 3 and a.symmetric
 
 
 @pytest.mark.parametrize("nu", NUS)
@@ -92,8 +98,8 @@ def test_c_above_one_strata(nu):
     # generator proportional to (sqrt(c) - 2, 1, 0); at c = 4 that direction
     # degenerates to e1
     np.testing.assert_allclose(r.generator, [0.0, 1.0, 0.0], atol=1e-9)
-    r = report_for(alg, mu=c, nu=nu)
-    assert r.index == 3 and r.symmetric_space
+    a = analysis_for(alg, mu=c, nu=nu)
+    assert index_of_symmetry(a).index == 3 and a.symmetric
 
 
 def test_index_one_generator_direction_c_above_one_generic_root():
@@ -143,9 +149,10 @@ def test_index_values_stay_in_range_on_random_draws():
             c = float(rng.uniform(1.1, 4.0))
             alg = make_algebra_c(c)
             kwargs = dict(mu=float(1.0 + rng.uniform(0.01, 1.0) * (c - 1.0)), nu=nu)
-        r = report_for(alg, **kwargs)
+        a = analysis_for(alg, **kwargs)
+        r = index_of_symmetry(a)
         assert r.index in (0, 1, 3)
-        if r.symmetric_space:
+        if a.symmetric:
             assert r.index == 3
 
 
@@ -257,7 +264,7 @@ def test_scan_rejects_bad_family():
 
 
 def test_stratum_key_follows_the_snapped_parameters():
-    # mu = tol_case is not snapped onto mu = 0, so it lies in the open
+    # mu = TOL_CASE is not snapped onto mu = 0, so it lies in the open
     # stratum and its key must say so; anything closer is snapped.
     alg = make_algebra_c(0.25)
     g = metric_from_table(alg, mu=1e-7, nu=1.0)
