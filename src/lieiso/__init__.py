@@ -46,7 +46,7 @@ from .isometry import (
     KillingAlgebra,
     KillingGenerator,
     MetricAnalysis,
-    analyze_metric,
+    analyze_metrics,
     classify_isometry_group,
     killing_algebra,
     killing_bracket,
@@ -98,7 +98,7 @@ __all__ = [
     "RangeError",
     "SymmetryReport",
     "UnsupportedFamilyError",
-    "analyze_metric",
+    "analyze_metrics",
     "build_report",
     "classify_isometry_group",
     "constant_sectional",

@@ -34,7 +34,7 @@ from .groups import (
     numeric_ricci_frame,
     right_invariant_field,
 )
-from .isometry import analyze_metric, killing_algebra
+from .isometry import analyze_metrics, killing_algebra
 from .metrics import inner_product_from_gram, metric_from_table
 from .reports import (
     SCAN_COLUMNS,
@@ -63,6 +63,7 @@ DEFAULT_GROUPS: list[tuple[str, float | None]] = [
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieiso",
+        allow_abbrev=False,
         description="Isometry groups and symmetry indices of a family of 3-dimensional solvable Lie groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="family-c parameter (determinant of the defining block), only with --family c")
         add_out(p)
 
-    p_classify = sub.add_parser("classify", help="classify one left-invariant metric")
+    p_classify = sub.add_parser("classify", allow_abbrev=False, help="classify one left-invariant metric")
     add_common(p_classify, need_family=True)
     p_classify.add_argument("--mu", type=float, default=None)
     p_classify.add_argument("--nu", type=float, default=None)
@@ -88,17 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--json", action="store_true", help="emit the JSON report (default: text)")
     mode.add_argument("--text", action="store_true", help="emit the text report")
 
-    p_table = sub.add_parser("table", help="symmetry stratification table")
+    p_table = sub.add_parser("table", allow_abbrev=False, help="symmetry stratification table")
     add_common(p_table, need_family=False)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p_scan = sub.add_parser("scan", help="scan a moduli space of metrics")
+    p_scan = sub.add_parser("scan", allow_abbrev=False, help="scan a moduli space of metrics")
     add_common(p_scan, need_family=True)
     p_scan.add_argument("--format", choices=["csv", "json"], default="json")
     p_scan.add_argument("--grid-mu", type=int, default=9, help="points along the mu/lambda direction")
     p_scan.add_argument("--grid-nu", type=int, default=3, help="points along the nu direction")
 
-    p_verify = sub.add_parser("verify", help="run built-in self-checks")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run built-in self-checks")
     add_out(p_verify)
     p_verify.add_argument("--which", choices=["metrics", "symmetry"], default=None,
                           help="run only one group of checks (default: all)")
@@ -108,11 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _algebra_from_args(args: argparse.Namespace):
-    if args.family == FAMILY_I:
-        return make_algebra_I()
-    if args.c is None:
-        raise RangeError("family c requires --c")
-    return make_algebra_c(args.c)
+    return make_algebra_I() if args.family == FAMILY_I else make_algebra_c(args.c)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -141,8 +138,6 @@ def _groups_from_args(args: argparse.Namespace) -> list[tuple[str, float | None]
         return list(DEFAULT_GROUPS)
     if args.family == FAMILY_I:
         return [(FAMILY_I, None)]
-    if args.c is None:
-        raise RangeError("family c requires --c")
     return [(FAMILY_C, float(args.c))]
 
 
@@ -199,7 +194,7 @@ def _check_metrics(points: int, seed: int, out: list[str]) -> bool:
     for n, (family, c, params) in enumerate(cases):
         alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(c)
         g = metric_from_table(alg, **params)
-        analysis = analyze_metric(alg, g)
+        analysis = analyze_metrics(alg, [g])[0]
         ric = analysis.ric
         ka = killing_algebra(analysis)
         p = rng.uniform(-0.4, 0.4, size=3)
@@ -259,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args)
         if args.c is not None and args.family != FAMILY_C:
             raise RangeError("--c applies only to --family c")
+        if args.c is None and args.family == FAMILY_C:
+            raise RangeError("family c requires --c")
         if args.command == "classify":
             return _cmd_classify(args)
         if args.command == "table":

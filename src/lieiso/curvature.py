@@ -11,7 +11,10 @@ closed-form Ricci data:
 
 Covariant tensors of type (1, k) are stored with input slots first and the
 output slot last: ``comps[i1, ..., ik, l]`` is the e_l component of
-T(e_{i1}, ..., e_{ik}).  The so(V) action on such tensors follows the
+T(e_{i1}, ..., e_{ik}).  The kernels also take a stack of metrics: a
+leading axis on the Gram matrices carries through the connection and every
+tensor built from it, and item i of each result equals, bit for bit, the
+result for metric i alone.  The so(V) action on such tensors follows the
 convention with a minus sign on the output (covector) slot and plus signs on
 the input slots; note that this makes A |-> (A . ) an *anti*-homomorphism of
 Lie algebras, which is harmless here because only its kernels are used.
@@ -29,9 +32,9 @@ from .metrics import InnerProduct
 
 @dataclass(frozen=True)
 class ConnectionOperator:
-    """The family of endomorphisms L(x) = nabla_x; ``mats[i]`` is L(e_i)."""
+    """The family of endomorphisms L(x) = nabla_x; ``mats[..., i, :, :]`` is L(e_i)."""
 
-    mats: np.ndarray  # (3, 3, 3)
+    mats: np.ndarray  # (3, 3, 3), or (n, 3, 3, 3) for a stack
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("i,ikl->kl", np.asarray(x, float), self.mats)
@@ -39,7 +42,11 @@ class ConnectionOperator:
 
 @dataclass(frozen=True)
 class CovTensor:
-    """A type-(1, k) tensor; comps[i1, ..., ik, l] with the output slot last."""
+    """A type-(1, k) tensor; comps[i1, ..., ik, l] with the output slot last.
+
+    A stack of tensors puts the stack axis first; ``order`` and ``norm``
+    hold for an unstacked tensor only.
+    """
 
     comps: np.ndarray
 
@@ -51,34 +58,36 @@ class CovTensor:
         return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
 
 
-def levi_civita(alg: LieAlgebra3, g: InnerProduct) -> ConnectionOperator:
-    """Solve the Koszul formula for the connection endomorphisms."""
+def levi_civita(alg: LieAlgebra3, gram: np.ndarray) -> ConnectionOperator:
+    """Solve the Koszul formula for the connection endomorphisms.
+
+    ``gram`` is one Gram matrix (3, 3) or a stack of them (n, 3, 3); the
+    connection gets the same leading axes.
+    """
     s = alg.structure
-    gram = g.coeffs
-    b1 = np.einsum("ijk,kl->ijl", s, gram)
-    b2 = np.einsum("jlk,ki->ijl", s, gram)
-    b3 = np.einsum("lik,kj->ijl", s, gram)
+    gram = np.asarray(gram, dtype=float)
+    b1 = np.einsum("ijk,...kl->...ijl", s, gram)
+    b2 = np.einsum("jlk,...ki->...ijl", s, gram)
+    b3 = np.einsum("lik,...kj->...ijl", s, gram)
     rhs = 0.5 * (b1 - b2 + b3)
-    mats = np.empty((3, 3, 3))
-    for i in range(3):
-        # columns of L(e_i) are Gamma_{i j}; solve G Gamma = rhs row-wise
-        mats[i] = np.linalg.solve(gram, rhs[i].T)
+    # columns of L(e_i) are Gamma_{i j}; solve G Gamma = rhs row-wise
+    mats = np.linalg.solve(gram[..., None, :, :], np.swapaxes(rhs, -1, -2))
     return ConnectionOperator(mats=mats)
 
 
 def curvature(conn: ConnectionOperator, alg: LieAlgebra3) -> CovTensor:
-    """R(e_i, e_j) e_k as a type-(1,3) tensor."""
+    """R(e_i, e_j) e_k as a type-(1,3) tensor, with the leading axes of ``conn``."""
     lam = conn.mats
-    comm = np.einsum("iab,jbc->ijac", lam, lam)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    lam_bracket = np.einsum("ijm,mac->ijac", alg.structure, lam)
-    end = comm - lam_bracket  # end[i, j] is the endomorphism R(e_i, e_j)
-    return CovTensor(comps=end.transpose(0, 1, 3, 2))  # comps[i, j, k, l] = end[i,j][l,k]
+    comm = np.einsum("...iab,...jbc->...ijac", lam, lam)
+    comm = comm - np.swapaxes(comm, -4, -3)
+    lam_bracket = np.einsum("ijm,...mac->...ijac", alg.structure, lam)
+    end = comm - lam_bracket  # end[..., i, j] is the endomorphism R(e_i, e_j)
+    return CovTensor(comps=np.swapaxes(end, -1, -2))  # comps[..., i, j, k, l] = end[..., i, j][l, k]
 
 
 def ricci(curv: CovTensor) -> np.ndarray:
     """Ric(e_j, e_k) = sum_i <R(e_i, e_j) e_k, e^i> (metric-free contraction)."""
-    return np.einsum("ijki->jk", curv.comps)
+    return np.einsum("...ijki->...jk", curv.comps)
 
 
 def scalar_curvature(ric: np.ndarray, g: InnerProduct) -> float:
@@ -122,27 +131,50 @@ def constant_sectional(curv: CovTensor, g: InnerProduct) -> float | None:
     return None
 
 
+# Letters for the input slots of a tensor in the einsum subscripts below.
+_SLOTS = "bcdefghij"
+
+
 def so_action(a: np.ndarray, t: CovTensor) -> CovTensor:
-    """Action of a matrix on a type-(1, k) tensor (minus on the output slot)."""
+    """Action of a matrix on a type-(1, k) tensor (minus on the output slot).
+
+    ``a`` may be a stack of matrices (n, 3, 3); ``t.comps`` then carries the
+    same leading axis and item i of the result is ``a[i]`` acting on item i.
+    """
     a = np.asarray(a, float)
-    comps = -np.einsum("lm,...m->...l", a, t.comps)
-    for slot in range(t.order):
-        hit = np.tensordot(t.comps, a, axes=([slot], [0]))  # contract slot with rows of a
-        comps += np.moveaxis(hit, -1, slot)
+    lead = a.ndim - 2
+    order = t.comps.ndim - 1 - lead
+    slots = _SLOTS[:order]
+    comps = -np.einsum(f"...lm,...{slots}m->...{slots}l", a, t.comps)
+    for slot in range(order):
+        # contract the slot with the rows of a: one GEMM per item, with the
+        # factors np.tensordot would form, so each item keeps its bits
+        moved = np.moveaxis(t.comps, lead + slot, -1)
+        hit = (moved.reshape(moved.shape[:lead] + (-1, 3)) @ a).reshape(moved.shape)
+        comps += np.moveaxis(hit, -1, lead + slot)
     return CovTensor(comps=comps)
 
 
 def covariant_derivative(t: CovTensor, conn: ConnectionOperator) -> CovTensor:
     """(nabla T)(x; v1..vk) = L(x) T(v...) - sum_i T(..., L(x) v_i, ...).
 
-    The differentiation slot is prepended, so the order grows by one.
+    The differentiation slot is prepended after the leading axes of ``conn``,
+    so the order grows by one.
     """
     lam = conn.mats
-    out = np.einsum("alm,...m->a...l", lam, t.comps)
-    for slot in range(t.order):
+    lead = lam.ndim - 3
+    order = t.comps.ndim - 1 - lead
+    slots = _SLOTS[:order]
+    out = np.einsum(f"...alm,...{slots}m->...a{slots}l", lam, t.comps)
+    # lam_t[..., a * 3 + i, m] = lam[..., a, m, i]
+    lam_t = np.swapaxes(lam, -1, -2).reshape(lam.shape[:lead] + (9, 3))
+    for slot in range(order):
         # term[a, i1..ik, l] = sum_m T[i1..m..ik, l] * lam[a, m, i_slot]
-        hit = np.tensordot(lam, t.comps, axes=([1], [slot]))  # -> (a, i_slot, rest..., l)
-        out = out - np.moveaxis(hit, 1, slot + 1)
+        # one GEMM per item, with the factors np.tensordot would form
+        moved = np.moveaxis(t.comps, lead + slot, lead)  # (m, rest..., l)
+        hit = lam_t @ moved.reshape(moved.shape[:lead] + (3, -1))
+        hit = hit.reshape(lam.shape[:lead] + (3,) + moved.shape[lead:])  # (a, i_slot, rest..., l)
+        out = out - np.moveaxis(hit, lead + 1, lead + slot + 1)
     return CovTensor(comps=out)
 
 

@@ -71,11 +71,12 @@ def right_invariant_b(alg: LieAlgebra3, conn: ConnectionOperator, v: np.ndarray)
     """(nabla r_v)_e for the right-invariant field with value v at the identity.
 
     Column j is L(e_j) v - [e_j, v]; by torsion-freeness this matrix equals
-    the connection endomorphism L(v), a fact the tests pin down.
+    the connection endomorphism L(v), a fact the tests pin down.  A stacked
+    ``conn`` gives one matrix per item.
     """
     v = np.asarray(v, float)
-    cols = [conn.mats[j] @ v - alg.bracket(np.eye(3)[j], v) for j in range(3)]
-    return np.column_stack(cols)
+    brackets = np.stack([alg.bracket(e, v) for e in np.eye(3)])  # row j is [e_j, v]
+    return np.swapaxes(conn.mats @ v - brackets, -1, -2)
 
 
 def _curvature_endomorphism(curv: CovTensor, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -90,34 +91,52 @@ def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: CovTensor) -
 
 
 def singer_isotropy(
-    g: InnerProduct,
+    gram: np.ndarray,
     tensors: tuple[CovTensor, CovTensor, CovTensor],
     ric: np.ndarray,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
 
-    Solves the Singer conditions on the metric-skew algebra of ``g``, given
-    its (R, nabla R, nabla^2 R) as ``tensors`` and its Ricci form as ``ric``.
-    The search space is first cut down to the stabilizer of the Ricci form
-    (which contains every solution, since Ricci is a curvature contraction);
-    this never changes the answer and the tests assert as much.
+    Solves the Singer conditions on the metric-skew algebra of the Gram
+    matrix ``gram``, given its (R, nabla R, nabla^2 R) as ``tensors`` and its
+    Ricci form as ``ric``.  The search space is first cut down to the
+    stabilizer of the Ricci form (which contains every solution, since Ricci
+    is a curvature contraction); this never changes the answer and the tests
+    assert as much.
+
+    A stack of metrics (``gram`` of shape (n, 3, 3), the tensors and ``ric``
+    with the same leading axis) gives a list of n bases.  The so(3) action is
+    then applied once per tensor for every search-space matrix of the stack;
+    each metric keeps its own rank decision.
     """
-    space = skew_algebra(g.coeffs)
-    ric_stab = skew_algebra(ric, allow_degenerate=True)
-    space = intersect_skew(space, ric_stab)
+    lead = np.ndim(gram) - 2
+    grams = np.reshape(gram, (-1, 3, 3))
+    comps = [t.comps.reshape(grams.shape[:1] + t.comps.shape[lead:]) for t in tensors]
+    rics = np.reshape(ric, (-1, 3, 3))
+    spaces = [intersect_skew(a, b) for a, b in zip(skew_algebra(grams), skew_algebra(rics, allow_degenerate=True))]
+    # every (metric, search-space matrix) pair of the stack, acted on each tensor
+    owner = [n for n, space in enumerate(spaces) for _ in space]
+    acted = [so_action(np.concatenate(spaces), CovTensor(c[owner])).comps.reshape(len(owner), -1)
+             for c in comps] if owner else []
+    isotropy, first = [], 0
+    for n, space in enumerate(spaces):
+        rows = slice(first, first + len(space))
+        first = rows.stop
+        isotropy.append(_solve_singer(space, [c[n] for c in comps], [a[rows] for a in acted]))
+    return isotropy if lead else isotropy[0]
+
+
+def _solve_singer(space: np.ndarray, tensors: list[np.ndarray], acted: list[np.ndarray]) -> np.ndarray:
+    """The isotropy basis of one metric from its search space and, per
+    tensor, the action of each search-space matrix on it (one row each)."""
     if len(space) == 0:
         return np.zeros((0, 3, 3))
-
     # constraint matrix: one column per basis coefficient, rows stack the
-    # entries of basis_mat . R, basis_mat . (nabla R), basis_mat . (nabla^2 R)
-    blocks = [
-        np.stack([so_action(basis_mat, t).comps.ravel() for basis_mat in space], axis=1)
-        for t in tensors
-    ]
+    # entries of basis_mat . R, basis_mat . (nabla R), basis_mat . (nabla^2 R);
     # the natural scale of the residual system: basis size times tensor size
     # (for a symmetric space the whole matrix is rounding noise)
-    scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space)))
-    _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
+    scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
+    _, kernel = rank_and_kernel(np.vstack([a.T for a in acted]), scale=scale)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
     mats = np.einsum("ks,sij->kij", kernel, space)
@@ -157,24 +176,35 @@ class MetricAnalysis:
     right_b: np.ndarray
 
 
-def analyze_metric(alg: LieAlgebra3, g: InnerProduct) -> MetricAnalysis:
-    """Connection, R, nabla R, nabla^2 R, Ricci, isotropy and the right-invariant B of one metric."""
-    conn = levi_civita(alg, g)
-    tensors = tuple(curvature_derivatives(conn, alg))
-    curv, nabla_r, nabla2_r = tensors
+def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
+    """Connection, R, nabla R, nabla^2 R, Ricci, isotropy and the right-invariant B of each metric.
+
+    The Gram matrices of ``gs`` are stacked and each kernel runs once for the
+    whole stack; the result holds one MetricAnalysis per metric, in order,
+    each equal bit for bit to the analysis of that metric in a stack of one.
+    """
+    grams = np.stack([g.coeffs for g in gs])
+    conn = levi_civita(alg, grams)
+    curv, nabla_r, nabla2_r = curvature_derivatives(conn, alg)
     ric = ricci(curv)
-    return MetricAnalysis(
-        alg=alg,
-        g=g,
-        conn=conn,
-        curv=curv,
-        nabla_r=nabla_r,
-        nabla2_r=nabla2_r,
-        ric=ric,
-        symmetric=nabla_r.norm() <= 1e-9 * max(1.0, curv.norm()),
-        isotropy=singer_isotropy(g, tensors, ric),
-        right_b=np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)]),
-    )
+    isotropy = singer_isotropy(grams, (curv, nabla_r, nabla2_r), ric)
+    right_b = np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)], axis=1)
+    analyses = []
+    for n, g in enumerate(gs):
+        r, dr = CovTensor(curv.comps[n]), CovTensor(nabla_r.comps[n])
+        analyses.append(MetricAnalysis(
+            alg=alg,
+            g=g,
+            conn=ConnectionOperator(conn.mats[n]),
+            curv=r,
+            nabla_r=dr,
+            nabla2_r=CovTensor(nabla2_r.comps[n]),
+            ric=ric[n],
+            symmetric=dr.norm() <= 1e-9 * max(1.0, r.norm()),
+            isotropy=isotropy[n],
+            right_b=right_b[n],
+        ))
+    return analyses
 
 
 @dataclass(frozen=True)

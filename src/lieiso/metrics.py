@@ -198,10 +198,13 @@ def stratum_table(family: str, c: float | None) -> StratumTable:
         scan_mu = lambda n: np.linspace(1.0 / n, 1.0, n)
     else:
         special = (math.sqrt(c) - 1.0) ** 2 + 1.0
+        # the samples keep clear of the special line; near c = 1 the gap
+        # shrinks with the range (1, c], which would otherwise hold none
+        gap = min(1e-3, 0.01 * (c - 1.0))
         strata = (
             StratumSpec("c>1:mu generic", METRIC_MU_NU, "1 < mu < c, mu != (sqrt(c)-1)^2+1",
                         samples=tuple(m for m in np.linspace(1.0 + 0.1 * (c - 1.0), 1.0 + 0.9 * (c - 1.0), 4)
-                                      if abs(m - special) > 1e-3)[:3]),
+                                      if abs(m - special) > gap)[:3]),
             StratumSpec("c>1:mu special", METRIC_MU_NU, "mu = (sqrt(c)-1)^2+1", special),
             StratumSpec("c>1:mu=c", METRIC_MU_NU, "mu = c", c, True),
         )
@@ -316,30 +319,36 @@ def metric_from_table(
 
 
 def _skew_operator(s: np.ndarray) -> np.ndarray:
-    """vec(M^T S + S M) as a 9x9 linear operator on vec(M), row-major.
+    """vec(M^T S + S M) as a 9x9 linear operator on vec(M), row-major, per form of a stack.
 
     (M^T S)_ij = sum_k M_ki S_kj and (S M)_ij = sum_k S_ik M_kj.
     """
     eye = np.eye(3)
-    return (np.einsum("kj,li->ijkl", s, eye) + np.einsum("ik,lj->ijkl", s, eye)).reshape(9, 9)
+    op = np.einsum("...kj,li->...ijkl", s, eye) + np.einsum("...ik,lj->...ijkl", s, eye)
+    return op.reshape(s.shape[:-2] + (9, 9))
 
 
-def skew_algebra(form: np.ndarray, *, allow_degenerate: bool = False) -> np.ndarray:
+def skew_algebra(forms: np.ndarray, *, allow_degenerate: bool = False) -> np.ndarray | list[np.ndarray]:
     """Solve M^T S + S M = 0 for a symmetric 3x3 form S; a canonical basis (k, 3, 3).
 
+    ``forms`` is one form (3, 3), which gives one basis, or a stack (n, 3, 3),
+    which gives a list of n bases; the rank decisions are made form by form.
     For a nondegenerate S the solution space is 3-dimensional.  Degenerate
     forms raise DegenerateFormError (with the numeric rank attached) unless
     ``allow_degenerate`` is set, in which case the stabilizer is returned with
     whatever dimension it has.
     """
-    s = np.asarray(form, dtype=float)
-    s = 0.5 * (s + s.T)
-    rank, _ = rank_and_kernel(s)
-    if rank < 3 and not allow_degenerate:
-        raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
-
-    _, kernel = rank_and_kernel(_skew_operator(s))
-    return canonical_matrix_basis(kernel.reshape(-1, 3, 3))
+    s = np.asarray(forms, dtype=float)
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    ops = _skew_operator(s)
+    bases = []
+    for form, op in zip(s.reshape(-1, 3, 3), ops.reshape(-1, 9, 9)):
+        rank, _ = rank_and_kernel(form)
+        if rank < 3 and not allow_degenerate:
+            raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
+        _, kernel = rank_and_kernel(op)
+        bases.append(canonical_matrix_basis(kernel.reshape(-1, 3, 3)))
+    return bases if s.ndim == 3 else bases[0]
 
 
 def intersect_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,10 +22,10 @@ from .curvature import (
     torsion_defect,
 )
 from .errors import InternalConsistencyError
-from .isometry import CLOSURE_TOL, analyze_metric, classify_isometry_group, killing_algebra, killing_form
+from .isometry import CLOSURE_TOL, analyze_metrics, classify_isometry_group, killing_algebra, killing_form
 from .linalg import RANK_TOL
-from .metrics import TOL_CASE, InnerProduct, metric_from_table, stratum_table
-from .symmetry import CERTIFICATE_TOL, ModuliScanResult, index_of_symmetry
+from .metrics import TOL_CASE, InnerProduct, stratum_table
+from .symmetry import CERTIFICATE_TOL, ModuliScanResult, analyze_catalog_points, index_of_symmetry
 
 SCHEMA_VERSION = "1.0"
 
@@ -55,7 +55,7 @@ def _plain(obj: Any) -> Any:
 
 def build_report(alg: LieAlgebra3, g: InnerProduct) -> dict[str, Any]:
     """Full classification report for one left-invariant metric."""
-    analysis = analyze_metric(alg, g)
+    analysis = analyze_metrics(alg, [g])[0]
     conn, curv, ric = analysis.conn, analysis.curv, analysis.ric
     scal = scalar_curvature(ric, g)
 
@@ -192,17 +192,20 @@ def stratification_rows(family: str, c: float | None) -> list[dict[str, str]]:
     """One CSV-ready row per symmetry stratum of one group.
 
     The index and generator are computed at every sample point of the
-    stratum and must agree across it.
+    stratum and must agree across it.  The sample points of all strata are
+    analysed as one stack.
     """
     table = stratum_table(family, c)
     alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(table.c)
+    samples = [stratum.sample_params() for stratum in table.strata]
+    analysed = iter(analyze_catalog_points(alg, [p for params in samples for p in params]))
     rows = []
-    for stratum in table.strata:
+    for stratum, params in zip(table.strata, samples):
         indices = []
         generator = None
-        for params in stratum.sample_params():
-            g = metric_from_table(alg, **params)
-            report = index_of_symmetry(analyze_metric(alg, g))
+        for _ in params:
+            _, analysis = next(analysed)
+            report = index_of_symmetry(analysis)
             indices.append(report.index)
             generator = report.generator if report.generator is not None else generator
         if len(set(indices)) != 1:

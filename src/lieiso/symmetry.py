@@ -21,15 +21,16 @@ line mu = sqrt(c) is maximally symmetric but not a singular point).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
-from .errors import InternalConsistencyError, RangeError, UnsupportedFamilyError
-from .isometry import MetricAnalysis, analyze_metric, classify_isometry_group
+from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
+from .errors import InternalConsistencyError, LieIsoError, RangeError, UnsupportedFamilyError
+from .isometry import MetricAnalysis, analyze_metrics, classify_isometry_group
 from .linalg import rank_and_kernel
-from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, metric_from_table, stratum_table
+from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, InnerProduct, metric_from_table, stratum_table
 
 #: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
 CERTIFICATE_TOL = 1e-9
@@ -90,6 +91,23 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
 # ---------------------------------------------------------------------------
 # moduli scans
 
+def analyze_catalog_points(
+    alg: LieAlgebra3, params: list[dict[str, float]]
+) -> Iterable[tuple[InnerProduct, MetricAnalysis]]:
+    """The catalog metric and its analysis at each parameter set, in order.
+
+    All metrics are analysed as one stack.  If building or analysing any of
+    them fails, the points are taken one at a time instead, lazily, so that a
+    caller working through them once, in order, meets the first failure
+    exactly where a loop over the points would.
+    """
+    try:
+        gs = [metric_from_table(alg, **p) for p in params]
+        return list(zip(gs, analyze_metrics(alg, gs)))
+    except LieIsoError:  # raised again below, at its own point
+        return ((g, analyze_metrics(alg, [g])[0]) for g in (metric_from_table(alg, **p) for p in params))
+
+
 @dataclass(frozen=True)
 class ScanPoint:
     metric_name: str
@@ -130,9 +148,9 @@ def scan_moduli(
 
     The grid covers each metric sheet and always includes the stratum
     boundary lines (which is where the interesting strata live).  Scan points
-    are pure functions of (family, c, params), so the grid could be evaluated
-    in any order or in parallel; the result tuple is assembled in the fixed
-    order below either way.  Grid sizes below 1 raise RangeError.
+    are pure functions of (family, c, params): every grid metric is built
+    first and the whole grid is analysed as one stack, then classified point
+    by point in the fixed order below.  Grid sizes below 1 raise RangeError.
     """
     if grid_mu < 1 or grid_nu < 1:
         raise RangeError(f"scan grid sizes must be at least 1, got grid_mu={grid_mu}, grid_nu={grid_nu}")
@@ -159,9 +177,7 @@ def scan_moduli(
                      for l in np.linspace(0.15, 0.85, max(grid_mu // 2, 2)) for nu in nus]
 
     points: list[ScanPoint] = []
-    for name, params in jobs:
-        g = metric_from_table(alg, **params)
-        analysis = analyze_metric(alg, g)
+    for (name, params), (g, analysis) in zip(jobs, analyze_catalog_points(alg, [p for _, p in jobs])):
         report = index_of_symmetry(analysis)
         descriptor = classify_isometry_group(analysis)
         stratum = table.locate(g)

@@ -36,7 +36,7 @@ from lieiso.groups import (
 )
 from lieiso.isometry import (
     IsometryGroupTag,
-    analyze_metric,
+    analyze_metrics,
     classify_isometry_group,
     killing_algebra,
     killing_form,
@@ -60,7 +60,7 @@ def criterion(num, name):
 
 def build(alg, **kwargs):
     g = metric_from_table(alg, **kwargs)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     return g, conn, curvature(conn, alg)
 
 
@@ -101,8 +101,8 @@ def test_accept_02_isotropy_dimensions_and_generator():
         for mu in GRID:
             for nu in GRID:
                 g = metric_from_table(alg0, mu=mu, nu=nu)
-                tensors = curvature_derivatives(levi_civita(alg0, g), alg0)
-                iso = singer_isotropy(g, tensors, ricci(tensors[0]))
+                tensors = curvature_derivatives(levi_civita(alg0, g.coeffs), alg0)
+                iso = singer_isotropy(g.coeffs, tensors, ricci(tensors[0]))
                 assert len(iso) == 1
                 np.testing.assert_allclose(
                     iso[0], goldens.isotropy_generator_c0(mu, nu), atol=1e-9
@@ -126,8 +126,8 @@ def test_accept_02_isotropy_dimensions_and_generator():
         ]
         for alg, kwargs in zero_dim:
             g = metric_from_table(alg, **kwargs)
-            tensors = curvature_derivatives(levi_civita(alg, g), alg)
-            assert len(singer_isotropy(g, tensors, ricci(tensors[0]))) == 0, (alg.c, kwargs)
+            tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
+            assert len(singer_isotropy(g.coeffs, tensors, ricci(tensors[0]))) == 0, (alg.c, kwargs)
 
 
 def test_accept_03_killing_bracket_table():
@@ -136,7 +136,7 @@ def test_accept_03_killing_bracket_table():
         for mu in GRID:
             for nu in GRID:
                 g = metric_from_table(alg, mu=mu, nu=nu)
-                ka = killing_algebra(analyze_metric(alg, g))
+                ka = killing_algebra(analyze_metrics(alg, [g])[0])
                 assert ka.dim == 4
                 expected = goldens.killing_bracket_table_c0(mu, nu)
                 for (a, b), coeffs in expected.items():
@@ -150,7 +150,7 @@ def test_accept_04_killing_form_eigenvalues():
         alg = make_algebra_c(0.0)
         for mu in GRID:
             g = metric_from_table(alg, mu=mu, nu=1.0)
-            _, eigs = killing_form(killing_algebra(analyze_metric(alg, g)))
+            _, eigs = killing_form(killing_algebra(analyze_metrics(alg, [g])[0]))
             np.testing.assert_allclose(
                 eigs, goldens.killing_eigenvalues_c0(mu), atol=1e-9
             )
@@ -173,10 +173,10 @@ def test_accept_05_symmetric_cases_and_isometric_twins():
                     alg, g, np.array([0.2, -0.1, 0.3]),
                     np.array([1.0, 0.5, -0.2]), np.array([0.1, 1.0, 0.7]),
                 ) == pytest.approx(-1.0 / nu, abs=1e-4)
-                d = classify_isometry_group(analyze_metric(alg, g))
+                d = classify_isometry_group(analyze_metrics(alg, [g])[0])
                 assert d.group_tag is IsometryGroupTag.SO31
             g = metric_from_table(make_algebra_c(0.0), nu=nu)
-            a = analyze_metric(make_algebra_c(0.0), g)
+            a = analyze_metrics(make_algebra_c(0.0), [g])[0]
             assert classify_isometry_group(a).group_tag is IsometryGroupTag.E1_X_SO21
             assert a.symmetric
         # two non-isomorphic groups with identical curvature reports
@@ -188,7 +188,7 @@ def test_accept_05_symmetric_cases_and_isometric_twins():
             }.items():
                 g, conn, curv = build(alg, **kwargs)
                 report[key] = (
-                    classify_isometry_group(analyze_metric(alg, g)).group_tag,
+                    classify_isometry_group(analyze_metrics(alg, [g])[0]).group_tag,
                     round(constant_sectional(curv, g), 12),
                     round(scalar_curvature(ricci(curv), g), 12),
                     round(covariant_derivative(curv, conn).norm(), 12),
@@ -234,7 +234,7 @@ def test_accept_06_stratification_table_and_no_index_two():
                 seen.add(stratum.key)
                 for params in stratum.sample_params():
                     g = metric_from_table(alg, **params)
-                    report = index_of_symmetry(analyze_metric(alg, g))
+                    report = index_of_symmetry(analyze_metrics(alg, [g])[0])
                     assert report.index == EXPECTED_INDEX[stratum.key], (
                         stratum.key,
                         params,
@@ -252,7 +252,7 @@ def test_accept_06_stratification_table_and_no_index_two():
         for family, c, params in _random_cases(500, seed=0):
             alg = make_algebra_I() if family == "I" else make_algebra_c(c)
             g = metric_from_table(alg, **params)
-            report = index_of_symmetry(analyze_metric(alg, g))
+            report = index_of_symmetry(analyze_metrics(alg, [g])[0])
             assert report.index in (0, 1, 3)
 
 
@@ -263,11 +263,11 @@ def test_accept_07_scalar_curvature_collapse():
             for mu in (0.0, 0.2, 0.45, 0.7, 0.9):
                 for nu in GRID:
                     g = metric_from_table(alg, mu=mu, nu=nu)
-                    s = scalar_curvature(ricci(curvature(levi_civita(alg, g), alg)), g)
+                    s = scalar_curvature(ricci(curvature(levi_civita(alg, g.coeffs), alg)), g)
                     assert s == pytest.approx(goldens.scal_mid_c(c, mu, nu), abs=1e-9)
             for nu in GRID:
                 g = metric_from_table(alg, mu=math.sqrt(c), nu=nu)
-                s = scalar_curvature(ricci(curvature(levi_civita(alg, g), alg)), g)
+                s = scalar_curvature(ricci(curvature(levi_civita(alg, g.coeffs), alg)), g)
                 assert s == pytest.approx(-8.0 / nu, abs=1e-12)
 
 
@@ -298,7 +298,7 @@ def test_accept_09_finite_difference_oracle():
         p = np.array([0.25, -0.15, 0.2])
         for alg, kwargs in cases:
             g = metric_from_table(alg, **kwargs)
-            algebraic = ricci(curvature(levi_civita(alg, g), alg))
+            algebraic = ricci(curvature(levi_civita(alg, g.coeffs), alg))
             assert (
                 float(np.max(np.abs(numeric_ricci_frame(alg, g, p) - algebraic)))
                 <= 1e-3
@@ -314,7 +314,7 @@ def test_accept_10_structural_identities_randomized():
         for family, c, params in _random_cases(200, seed=1):
             alg = make_algebra_I() if family == "I" else make_algebra_c(c)
             g = metric_from_table(alg, **params)
-            conn = levi_civita(alg, g)
+            conn = levi_civita(alg, g.coeffs)
             curv = curvature(conn, alg)
             assert alg.jacobi_defect() <= 1e-8
             assert torsion_defect(conn, alg) <= 1e-12

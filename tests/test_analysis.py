@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lieiso.algebra import make_algebra_c, make_algebra_I
-from lieiso.isometry import analyze_metric, classify_isometry_group, killing_algebra
+from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
 from lieiso.metrics import metric_from_table
 from lieiso.reports import build_report, stratification_rows, to_json
 from lieiso.symmetry import index_of_symmetry, scan_moduli
@@ -74,28 +74,34 @@ def test_build_report_decides_constant_curvature_once(monkeypatch, family, c, pa
     sec = _count_calls(monkeypatch, CONSTANT_SECTIONAL)
     report = build_report(alg, g)
     assert len(sec) == 1
-    descriptor = classify_isometry_group(analyze_metric(alg, g))
+    descriptor = classify_isometry_group(analyze_metrics(alg, [g])[0])
     assert report["curvature"]["sectional_constant"] == descriptor.sectional_constant
 
 
 def test_scan_solves_singer_once_per_point(monkeypatch):
+    # one stacked call covers every point of the scan
+    lc = _count_calls(monkeypatch, LEVI_CIVITA)
     singer = _count_calls(monkeypatch, SINGER_ISOTROPY)
     result = scan_moduli("c", 0.0, grid_mu=2, grid_nu=1)
     assert len(result.points) == 3
-    assert len(singer) == len(result.points)
+    assert len(lc) == 1
+    assert len(singer) == 1
 
 
 def test_table_solves_singer_once_per_sample(monkeypatch):
+    # one stacked call covers the three sample points of both strata
+    lc = _count_calls(monkeypatch, LEVI_CIVITA)
     singer = _count_calls(monkeypatch, SINGER_ISOTROPY)
     rows = stratification_rows("c", 0.0)
     assert len(rows) == 2
-    assert len(singer) == 2 * 3  # two strata, three sample points each
+    assert len(lc) == 1
+    assert len(singer) == 1
 
 
 def test_shared_analysis_gives_the_same_answers(monkeypatch):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=0.7, nu=1.3)
-    analysis = analyze_metric(alg, g)
+    analysis = analyze_metrics(alg, [g])[0]
     assert analysis.symmetric is False
     assert len(analysis.isotropy) == 1
     lc = _count_calls(monkeypatch, LEVI_CIVITA)

@@ -116,7 +116,7 @@ def test_exit_code_for_bad_gram(capsys):
         (["classify", "--family", "c", "--c", "0.25", "--mu", "0.5", "--nu", "1", "--tol-case", "0"],
          "unrecognized arguments: --tol-case 0"),
         (["scan", "--family", "c", "--c", "0.25", "--grid", "5"],
-         "ambiguous option: --grid could match --grid-mu, --grid-nu"),
+         "unrecognized arguments: --grid 5"),
         (["verify", "--which", "metrics", "--points", "3", "--seed", "1", "--family", "c", "--c", "4"],
          "unrecognized arguments: --family c --c 4"),
     ],
@@ -128,6 +128,70 @@ def test_deleted_options_are_unknown_arguments(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--j", "--family", "I", "--nu", "1"],
+        ["scan", "--family", "c", "--c", "4", "--grid-m", "5"],
+    ],
+)
+def test_option_prefixes_are_unknown_arguments(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--family", "c", "--mu", "1", "--nu", "1"],
+        ["table", "--family", "c"],
+        ["scan", "--family", "c"],
+    ],
+)
+def test_family_c_without_c_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: family c requires --c\n"
+
+
+@pytest.mark.parametrize(
+    "command,c,code,error",
+    [
+        ("scan", "1e-6", 3, "symmetric form is degenerate (rank 1)"),
+        ("table", "1e-6", 3, "symmetric form is degenerate (rank 1)"),
+        ("scan", "1e-9", 3, "symmetric form is degenerate (rank 1)"),
+        ("table", "1e-9", 3, "symmetric form is degenerate (rank 1)"),
+        ("scan", "0.999999999", 3, "symmetric form is degenerate (rank 1)"),
+        ("table", "0.999999999", 3, "symmetric form is degenerate (rank 1)"),
+        ("scan", "-1e-9", 3, "symmetric form is degenerate (rank 2)"),
+        ("table", "-1e-9", 3, "symmetric form is degenerate (rank 2)"),
+        ("scan", "1e8", 1, "symmetry certificate residual 3.725e-09 too large"),
+        ("table", "1e8", 1, "symmetry certificate residual 3.725e-09 too large"),
+        ("scan", "1.000000001", 3, "symmetric form is degenerate (rank 2)"),
+        ("table", "1.000000001", 3, "symmetric form is degenerate (rank 2)"),
+        ("table", "1.0001", 3, "symmetric form is degenerate (rank 2)"),
+        ("scan", "-1e-6", 0, None),
+        ("table", "-1e-6", 0, None),
+        ("scan", "-1e8", 0, None),
+        ("table", "-1e8", 0, None),
+        ("table", "1.002", 0, None),
+    ],
+)
+def test_outcomes_of_scans_and_tables_near_the_branch_points(capsys, command, c, code, error):
+    # The first point that fails decides the outcome, whatever the order in
+    # which the points are analysed.
+    got, out, err = run_cli(capsys, command, "--family", "c", f"--c={c}")
+    assert got == code
+    if error is None:
+        assert err == "" and out
+    else:
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ GRID = [0.5, 1.0, 2.0]
 
 
 def ricci_of(alg, g):
-    return ricci(curvature(levi_civita(alg, g), alg))
+    return ricci(curvature(levi_civita(alg, g.coeffs), alg))
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -85,7 +85,7 @@ def test_ricci_c_above_one(c, mu_frac, nu):
 def test_family_I_is_hyperbolic(nu):
     alg = make_algebra_I()
     g = metric_from_table(alg, nu=nu)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     curv = curvature(conn, alg)
     sec = constant_sectional(curv, g)
     assert sec == pytest.approx(-1.0 / nu, abs=1e-12)
@@ -98,7 +98,7 @@ def test_family_I_is_hyperbolic(nu):
 def test_c_above_one_boundary_is_hyperbolic_and_einstein(c, nu):
     alg = make_algebra_c(c)
     g = metric_from_table(alg, mu=c, nu=nu)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     curv = curvature(conn, alg)
     assert constant_sectional(curv, g) == pytest.approx(-1.0 / nu, abs=1e-10)
     np.testing.assert_allclose(ricci(curv), -2.0 / nu * g.coeffs, atol=1e-11)
@@ -111,26 +111,26 @@ def test_scalar_curvature_mid_c(c, nu):
     alg = make_algebra_c(c)
     for mu in [0.0, 0.2, 0.6, 0.9]:
         g = metric_from_table(alg, mu=mu, nu=nu)
-        conn = levi_civita(alg, g)
+        conn = levi_civita(alg, g.coeffs)
         s = scalar_curvature(ricci(curvature(conn, alg)), g)
         assert s == pytest.approx(goldens.scal_mid_c(c, mu, nu), abs=1e-11)
     # at mu = sqrt(c) the scalar curvature collapses to the constant -8/nu
     g = metric_from_table(alg, mu=np.sqrt(c), nu=nu)
-    s = scalar_curvature(ricci(curvature(levi_civita(alg, g), alg)), g)
+    s = scalar_curvature(ricci(curvature(levi_civita(alg, g.coeffs), alg)), g)
     assert s == pytest.approx(-8.0 / nu, abs=1e-12)
 
 
 def test_generic_metric_is_not_constant_curvature():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=1.0, nu=1.0)
-    curv = curvature(levi_civita(alg, g), alg)
+    curv = curvature(levi_civita(alg, g.coeffs), alg)
     assert constant_sectional(curv, g) is None
 
 
 def test_sectional_curvature_needs_independent_vectors():
     alg = make_algebra_I()
     g = metric_from_table(alg, nu=1.0)
-    curv = curvature(levi_civita(alg, g), alg)
+    curv = curvature(levi_civita(alg, g.coeffs), alg)
     x = np.array([1.0, 2.0, 0.0])
     with pytest.raises(ValueError):
         sectional_curvature(curv, g, x, 2.0 * x)
@@ -149,7 +149,7 @@ def test_sectional_curvature_needs_independent_vectors():
 )
 def test_connection_and_curvature_identities(alg, kwargs):
     g = metric_from_table(alg, **kwargs)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     curv = curvature(conn, alg)
     assert torsion_defect(conn, alg) <= 1e-13
     assert metric_compatibility_defect(conn, g) <= 1e-12
@@ -178,7 +178,7 @@ def test_connection_and_curvature_identities(alg, kwargs):
 def test_curvature_derivatives_orders():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=1.0, nu=1.0)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     tensors = curvature_derivatives(conn, alg)
     assert [t.order for t in tensors] == [3, 4, 5]
     np.testing.assert_allclose(
@@ -193,7 +193,7 @@ def test_isotropy_generator_annihilates_curvature_jets(mu, nu):
     # curvature tensor and its first two derivatives.
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=nu)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     a = goldens.isotropy_generator_c0(mu, nu)
     for t in curvature_derivatives(conn, alg):
         scale = max(1.0, t.norm())
@@ -203,7 +203,7 @@ def test_isotropy_generator_annihilates_curvature_jets(mu, nu):
 def test_so_action_is_an_anti_homomorphism():
     alg = make_algebra_c(0.5)
     g = metric_from_table(alg, mu=0.3, nu=1.0)
-    curv = curvature(levi_civita(alg, g), alg)
+    curv = curvature(levi_civita(alg, g.coeffs), alg)
     rng = np.random.default_rng(7)
     for _ in range(5):
         a = rng.standard_normal((3, 3))
@@ -237,6 +237,6 @@ def test_levi_civita_solves_koszul_for_random_diagonal_data(c, a, b):
     # must hold exactly: zero torsion and metric compatibility.
     alg = make_algebra_c(c)
     g = inner_product_from_gram(np.diag([1.0, a, b]))
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     assert torsion_defect(conn, alg) <= 1e-12
     assert metric_compatibility_defect(conn, g) <= 1e-11

@@ -165,7 +165,7 @@ def test_numeric_ricci_matches_algebraic(alg, kwargs):
     # the structure-constant Ricci once expressed in the moving frame; the
     # frame version is p-independent.
     g = metric_from_table(alg, **kwargs)
-    expected = ricci(curvature(levi_civita(alg, g), alg))
+    expected = ricci(curvature(levi_civita(alg, g.coeffs), alg))
     np.testing.assert_allclose(numeric_ricci(alg, g, np.zeros(3)), expected, atol=1e-3)
     for p in [np.zeros(3), np.array([0.4, -0.1, 0.25])]:
         np.testing.assert_allclose(numeric_ricci_frame(alg, g, p), expected, atol=1e-3)
@@ -182,7 +182,7 @@ def test_numeric_sectional_for_hyperbolic_metric():
         assert numeric_sectional(alg, g, p, x, y) == pytest.approx(
             -1.0 / nu, abs=1e-4
         )
-    curv = curvature(levi_civita(alg, g), alg)
+    curv = curvature(levi_civita(alg, g.coeffs), alg)
     assert constant_sectional(curv, g) == pytest.approx(-1.0 / nu, abs=1e-12)
 
 

@@ -8,7 +8,7 @@ from lieiso.isometry import (
     CLOSURE_TOL,
     IsometryGroupTag,
     KillingGenerator,
-    analyze_metric,
+    analyze_metrics,
     classify_isometry_group,
     killing_algebra,
     killing_bracket,
@@ -24,8 +24,8 @@ GRID = [0.5, 1.0, 2.0]
 
 
 def _isotropy(alg, g):
-    tensors = curvature_derivatives(levi_civita(alg, g), alg)
-    return singer_isotropy(g, tensors, ricci(tensors[0]))
+    tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
+    return singer_isotropy(g.coeffs, tensors, ricci(tensors[0]))
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -77,7 +77,7 @@ def test_full_isotropy_for_hyperbolic_metrics(nu):
 
 def _singer_without_prefilter(alg, g):
     """The Singer solve on the whole metric-skew algebra, with no Ricci prefilter."""
-    tensors = curvature_derivatives(levi_civita(alg, g), alg)
+    tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
     space = skew_algebra(g.coeffs)
     blocks = [np.stack([so_action(m, t).comps.ravel() for m in space], axis=1) for t in tensors]
     scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space)))
@@ -104,7 +104,7 @@ def test_right_invariant_b_equals_connection_endomorphism():
     # Torsion-freeness makes (nabla r_v) at the identity equal to L(v).
     alg = make_algebra_c(0.5)
     g = metric_from_table(alg, mu=0.3, nu=1.0)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     for v in np.eye(3):
         np.testing.assert_allclose(right_invariant_b(alg, conn, v), conn(v), atol=1e-13)
 
@@ -114,7 +114,7 @@ def test_right_invariant_b_equals_connection_endomorphism():
 def test_c_zero_killing_algebra_brackets(mu, nu):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=nu)
-    ka = killing_algebra(analyze_metric(alg, g))
+    ka = killing_algebra(analyze_metrics(alg, [g])[0])
     assert ka.dim == 4
     assert ka.labels == ("r0", "r1", "r2", "A1")
     assert ka.closure_residual <= CLOSURE_TOL
@@ -127,7 +127,7 @@ def test_c_zero_killing_algebra_brackets(mu, nu):
 def test_killing_algebra_structure_satisfies_jacobi():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=0.8, nu=1.7)
-    ka = killing_algebra(analyze_metric(alg, g))
+    ka = killing_algebra(analyze_metrics(alg, [g])[0])
     s = ka.structure
     d = np.einsum("ijm,mkl->ijkl", s, s)
     cyc = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
@@ -138,7 +138,7 @@ def test_killing_algebra_structure_satisfies_jacobi():
 def test_c_zero_killing_form_eigenvalues(mu):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=1.0)
-    _, eigs = killing_form(killing_algebra(analyze_metric(alg, g)))
+    _, eigs = killing_form(killing_algebra(analyze_metrics(alg, [g])[0]))
     np.testing.assert_allclose(eigs, goldens.killing_eigenvalues_c0(mu), atol=1e-9)
 
 
@@ -147,7 +147,7 @@ def test_killing_form_spectra_distinguish_the_metrics():
     spectra = []
     for mu in GRID:
         g = metric_from_table(alg, mu=mu, nu=1.0)
-        _, eigs = killing_form(killing_algebra(analyze_metric(alg, g)))
+        _, eigs = killing_form(killing_algebra(analyze_metrics(alg, [g])[0]))
         spectra.append(eigs)
     for i in range(len(spectra)):
         for j in range(i + 1, len(spectra)):
@@ -157,7 +157,7 @@ def test_killing_form_spectra_distinguish_the_metrics():
 def test_killing_bracket_encoding():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=1.0, nu=1.0)
-    conn = levi_civita(alg, g)
+    conn = levi_civita(alg, g.coeffs)
     curv = curvature(conn, alg)
     gens = [
         KillingGenerator(v=np.eye(3)[i], b=right_invariant_b(alg, conn, np.eye(3)[i]))
@@ -197,7 +197,7 @@ CLASSIFY_CASES = [
 @pytest.mark.parametrize("alg,kwargs,tag,iso_dim,symmetric", CLASSIFY_CASES)
 def test_classification(alg, kwargs, tag, iso_dim, symmetric):
     g = metric_from_table(alg, **kwargs)
-    a = analyze_metric(alg, g)
+    a = analyze_metrics(alg, [g])[0]
     d = classify_isometry_group(a)
     assert d.group_tag is tag
     assert d.isotropy_dim == iso_dim
@@ -213,7 +213,7 @@ def test_classification(alg, kwargs, tag, iso_dim, symmetric):
 def test_classification_snaps_near_boundary():
     alg = make_algebra_c(4.0)
     g = metric_from_table(alg, mu=4.0 - 1e-8, nu=1.0)
-    d = classify_isometry_group(analyze_metric(alg, g))
+    d = classify_isometry_group(analyze_metrics(alg, [g])[0])
     assert d.group_tag is IsometryGroupTag.SO31
     assert g.boundary_snapped
 
@@ -226,14 +226,14 @@ def test_isometric_but_not_isomorphic_groups():
         g_a = metric_from_table(alg_a, nu=nu)
         alg_b = make_algebra_c(4.0)
         g_b = metric_from_table(alg_b, mu=4.0, nu=nu)
-        a_a, a_b = analyze_metric(alg_a, g_a), analyze_metric(alg_b, g_b)
+        a_a, a_b = analyze_metrics(alg_a, [g_a])[0], analyze_metrics(alg_b, [g_b])[0]
         d_a, d_b = classify_isometry_group(a_a), classify_isometry_group(a_b)
         assert d_a.group_tag is d_b.group_tag is IsometryGroupTag.SO31
         assert d_a.sectional_constant == pytest.approx(d_b.sectional_constant, abs=1e-10)
         assert a_a.symmetric and a_b.symmetric
         # same Einstein constant Ric = -(2/nu) g on both sides
         for alg, g in [(alg_a, g_a), (alg_b, g_b)]:
-            ric = ricci(curvature(levi_civita(alg, g), alg))
+            ric = ricci(curvature(levi_civita(alg, g.coeffs), alg))
             np.testing.assert_allclose(ric, -2.0 / nu * g.coeffs, atol=1e-10)
             assert scalar_curvature(ric, g) == pytest.approx(-6.0 / nu, abs=1e-10)
         # and yet the algebras differ: ad(e2) restricted to the plane is
@@ -252,7 +252,7 @@ def test_classify_rejects_custom_algebra():
     s[0, 2, 0] = -1.0
     alg = custom_algebra(s)
     g = inner_product_from_gram(np.eye(3))
-    analysis = analyze_metric(alg, g)
+    analysis = analyze_metrics(alg, [g])[0]
     with pytest.raises(UnsupportedFamilyError):
         classify_isometry_group(analysis)
 
@@ -264,7 +264,7 @@ def test_killing_algebra_dims_follow_isotropy():
         (make_algebra_c(0.25), dict(mu=0.3, nu=1.0), 3),
     ]:
         g = metric_from_table(alg, **kwargs)
-        ka = killing_algebra(analyze_metric(alg, g))
+        ka = killing_algebra(analyze_metrics(alg, [g])[0])
         assert ka.dim == want
         assert ka.closure_residual <= CLOSURE_TOL
         form, eigs = killing_form(ka)

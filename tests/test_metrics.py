@@ -14,6 +14,7 @@ from lieiso.metrics import (
     mid_c_gram_closed_form,
     skew_algebra,
     snap_parameters,
+    stratum_table,
 )
 
 
@@ -204,6 +205,15 @@ def test_snap_tries_the_singular_line_first():
     alg = make_algebra_c(1.0 + 1e-8)
     params, moved = snap_parameters(alg, METRIC_MU_NU, {"mu": 1.0 + 5e-9, "nu": 1.0})
     assert moved and params["mu"] == alg.c
+
+
+@pytest.mark.parametrize("c", [1.0001, 1.002, 1.01])
+def test_open_stratum_above_one_keeps_three_samples_near_c_one(c):
+    generic = stratum_table("c", c).strata[0]
+    assert generic.key == "c>1:mu generic"
+    assert len(set(generic.samples)) == 3
+    special = (np.sqrt(c) - 1.0) ** 2 + 1.0
+    assert all(1.0 < m < c and m != special for m in generic.samples)
 
 
 def _skew_operator_loop(s):

@@ -5,7 +5,7 @@ import pytest
 
 from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.errors import UnsupportedFamilyError
-from lieiso.isometry import analyze_metric
+from lieiso.isometry import analyze_metrics
 from lieiso.metrics import metric_from_table, stratum_table
 from lieiso.reports import stratification_rows
 from lieiso.symmetry import CERTIFICATE_TOL, index_of_symmetry, scan_moduli
@@ -14,7 +14,7 @@ NUS = [0.5, 1.0, 2.0]
 
 
 def analysis_for(alg, **kwargs):
-    return analyze_metric(alg, metric_from_table(alg, **kwargs))
+    return analyze_metrics(alg, [metric_from_table(alg, **kwargs)])[0]
 
 
 def report_for(alg, **kwargs):
@@ -23,7 +23,7 @@ def report_for(alg, **kwargs):
 
 def index_and_key(alg, g):
     """The index of symmetry of g and the key of its stratum."""
-    return index_of_symmetry(analyze_metric(alg, g)).index, stratum_table(alg.family, alg.c).locate(g).key
+    return index_of_symmetry(analyze_metrics(alg, [g])[0]).index, stratum_table(alg.family, alg.c).locate(g).key
 
 
 @pytest.mark.parametrize("nu", NUS)
