@@ -20,8 +20,6 @@ from .algebra import (
     make_algebra_I,
 )
 from .curvature import (
-    ConnectionOperator,
-    CovTensor,
     constant_sectional,
     covariant_derivative,
     curvature,
@@ -81,8 +79,6 @@ __all__ = [
     "METRIC_LAMBDA_NU",
     "METRIC_MU_NU",
     "METRIC_NU",
-    "ConnectionOperator",
-    "CovTensor",
     "DegenerateFormError",
     "InnerProduct",
     "InternalConsistencyError",

@@ -1,4 +1,12 @@
-"""Exception types shared by the public API."""
+"""Exception types shared by the public API.
+
+A Gram matrix is validated once, when its metric is built
+(``linalg.check_spd``, reached through ``metrics.InnerProduct``): a matrix
+that is not finite, not symmetric or not positive definite raises
+NonPositiveDefiniteError, and one that is singular at the rank cutoff
+``linalg.RANK_TOL`` raises DegenerateFormError.  Nothing after construction
+makes a rank decision on the Gram matrix again.
+"""
 
 from __future__ import annotations
 
@@ -16,11 +24,7 @@ class NonPositiveDefiniteError(LieIsoError):
 
 
 class DegenerateFormError(LieIsoError):
-    """A symmetric form handed to the skew-algebra solver is singular."""
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
+    """A Gram matrix is singular at the rank cutoff; the message gives its rank."""
 
 
 class UnsupportedFamilyError(LieIsoError):

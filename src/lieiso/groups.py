@@ -69,24 +69,6 @@ def phi(alg: LieAlgebra3, t: float) -> np.ndarray:
     return math.exp(t) * core
 
 
-def multiply(alg: LieAlgebra3, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Group product in coordinates (x0, x1, x2)."""
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    out = np.empty(3)
-    out[:2] = p[:2] + phi(alg, p[2]) @ q[:2]
-    out[2] = p[2] + q[2]
-    return out
-
-
-def inverse(alg: LieAlgebra3, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, float)
-    out = np.empty(3)
-    out[:2] = -(phi(alg, -p[2]) @ p[:2])
-    out[2] = -p[2]
-    return out
-
-
 def left_frame(alg: LieAlgebra3, p: np.ndarray) -> np.ndarray:
     """Columns are the left-invariant frame fields e_0, e_1, e_2 at p.
 
@@ -107,12 +89,6 @@ def right_frame(alg: LieAlgebra3, p: np.ndarray) -> np.ndarray:
     frame = np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)).copy()
     frame[..., :2, 2] = p[..., :2] @ generator_block(alg).T
     return frame
-
-
-def left_invariant_field(alg: LieAlgebra3, v: np.ndarray):
-    """The field e(p) v, mapping points (..., 3) to vectors (..., 3)."""
-    v = np.asarray(v, float)
-    return lambda p: left_frame(alg, p) @ v
 
 
 def right_invariant_field(alg: LieAlgebra3, v: np.ndarray):
@@ -198,17 +174,6 @@ def numeric_ricci_frame(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray) -> np.
     """
     frame = left_frame(alg, np.asarray(p, float))
     return frame.T @ numeric_ricci(alg, g, p) @ frame
-
-
-def numeric_sectional(alg: LieAlgebra3, g: InnerProduct, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    comps = numeric_curvature(alg, g, p)
-    gp = metric_field(alg, g, p)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    rxyy = np.einsum("ijkl,i,j,k->l", comps, x, y, y)
-    num = float(x @ gp @ rxyy)
-    den = float((x @ gp @ x) * (y @ gp @ y) - (x @ gp @ y) ** 2)
-    return num / den
 
 
 def killing_residual(alg: LieAlgebra3, g: InnerProduct, field, p: np.ndarray) -> float:

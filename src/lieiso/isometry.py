@@ -26,8 +26,6 @@ import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .curvature import (
-    ConnectionOperator,
-    CovTensor,
     constant_sectional,
     curvature_derivatives,
     levi_civita,
@@ -67,7 +65,7 @@ class IsometryDescriptor:
     sectional_constant: float | None
 
 
-def right_invariant_b(alg: LieAlgebra3, conn: ConnectionOperator, v: np.ndarray) -> np.ndarray:
+def right_invariant_b(alg: LieAlgebra3, conn: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(nabla r_v)_e for the right-invariant field with value v at the identity.
 
     Column j is L(e_j) v - [e_j, v]; by torsion-freeness this matrix equals
@@ -76,54 +74,48 @@ def right_invariant_b(alg: LieAlgebra3, conn: ConnectionOperator, v: np.ndarray)
     """
     v = np.asarray(v, float)
     brackets = np.stack([alg.bracket(e, v) for e in np.eye(3)])  # row j is [e_j, v]
-    return np.swapaxes(conn.mats @ v - brackets, -1, -2)
+    return np.swapaxes(conn @ v - brackets, -1, -2)
 
 
-def _curvature_endomorphism(curv: CovTensor, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # comps[i, j, k, l] -> matrix[l, k] of z |-> R(v, w) z
-    return np.einsum("ijkl,i,j->lk", curv.comps, np.asarray(v, float), np.asarray(w, float))
+def _curvature_endomorphism(curv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # curv[i, j, k, l] -> matrix[l, k] of z |-> R(v, w) z
+    return np.einsum("ijkl,i,j->lk", curv, np.asarray(v, float), np.asarray(w, float))
 
 
-def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: CovTensor) -> KillingGenerator:
+def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: np.ndarray) -> KillingGenerator:
     v = b.b @ a.v - a.b @ b.v
     bb = _curvature_endomorphism(curv, a.v, b.v) - (a.b @ b.b - b.b @ a.b)
     return KillingGenerator(v=v, b=bb)
 
 
 def singer_isotropy(
-    gram: np.ndarray,
-    tensors: tuple[CovTensor, CovTensor, CovTensor],
-    ric: np.ndarray,
-) -> np.ndarray | list[np.ndarray]:
-    """Basis (k, 3, 3) of the isotropy algebra, canonically normalized.
+    grams: np.ndarray,
+    tensors: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rics: np.ndarray,
+) -> list[np.ndarray]:
+    """Basis (k, 3, 3) of the isotropy algebra of each metric of a stack, canonically normalized.
 
-    Solves the Singer conditions on the metric-skew algebra of the Gram
-    matrix ``gram``, given its (R, nabla R, nabla^2 R) as ``tensors`` and its
-    Ricci form as ``ric``.  The search space is first cut down to the
-    stabilizer of the Ricci form (which contains every solution, since Ricci
-    is a curvature contraction); this never changes the answer and the tests
-    assert as much.
-
-    A stack of metrics (``gram`` of shape (n, 3, 3), the tensors and ``ric``
-    with the same leading axis) gives a list of n bases.  The so(3) action is
-    then applied once per tensor for every search-space matrix of the stack;
-    each metric keeps its own rank decision.
+    Solves the Singer conditions on the metric-skew algebra of each Gram
+    matrix of ``grams`` (n, 3, 3), given the stacked (R, nabla R, nabla^2 R)
+    as ``tensors`` and the Ricci forms as ``rics``, all with the same leading
+    axis.  The search space is first cut down to the stabilizer of the Ricci
+    form (which contains every solution, since Ricci is a curvature
+    contraction); this never changes the answer and the tests assert as
+    much.  The so(3) action is applied once per tensor for every
+    search-space matrix of the stack; each metric keeps its own rank
+    decision.
     """
-    lead = np.ndim(gram) - 2
-    grams = np.reshape(gram, (-1, 3, 3))
-    comps = [t.comps.reshape(grams.shape[:1] + t.comps.shape[lead:]) for t in tensors]
-    rics = np.reshape(ric, (-1, 3, 3))
-    spaces = [intersect_skew(a, b) for a, b in zip(skew_algebra(grams), skew_algebra(rics, allow_degenerate=True))]
+    spaces = [intersect_skew(a, b) for a, b in zip(skew_algebra(grams), skew_algebra(rics))]
     # every (metric, search-space matrix) pair of the stack, acted on each tensor
     owner = [n for n, space in enumerate(spaces) for _ in space]
-    acted = [so_action(np.concatenate(spaces), CovTensor(c[owner])).comps.reshape(len(owner), -1)
-             for c in comps] if owner else []
+    acted = [so_action(np.concatenate(spaces), t[owner]).reshape(len(owner), -1)
+             for t in tensors] if owner else []
     isotropy, first = [], 0
     for n, space in enumerate(spaces):
         rows = slice(first, first + len(space))
         first = rows.stop
-        isotropy.append(_solve_singer(space, [c[n] for c in comps], [a[rows] for a in acted]))
-    return isotropy if lead else isotropy[0]
+        isotropy.append(_solve_singer(space, [t[n] for t in tensors], [a[rows] for a in acted]))
+    return isotropy
 
 
 def _solve_singer(space: np.ndarray, tensors: list[np.ndarray], acted: list[np.ndarray]) -> np.ndarray:
@@ -166,10 +158,9 @@ class MetricAnalysis:
 
     alg: LieAlgebra3
     g: InnerProduct
-    conn: ConnectionOperator
-    curv: CovTensor
-    nabla_r: CovTensor
-    nabla2_r: CovTensor
+    conn: np.ndarray
+    curv: np.ndarray
+    nabla_r: np.ndarray
     ric: np.ndarray
     symmetric: bool
     isotropy: np.ndarray
@@ -177,11 +168,12 @@ class MetricAnalysis:
 
 
 def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
-    """Connection, R, nabla R, nabla^2 R, Ricci, isotropy and the right-invariant B of each metric.
+    """Connection, R, nabla R, Ricci, isotropy and the right-invariant B of each metric.
 
     The Gram matrices of ``gs`` are stacked and each kernel runs once for the
     whole stack; the result holds one MetricAnalysis per metric, in order,
     each equal bit for bit to the analysis of that metric in a stack of one.
+    nabla^2 R enters the Singer solve only and is not kept.
     """
     grams = np.stack([g.coeffs for g in gs])
     conn = levi_civita(alg, grams)
@@ -191,16 +183,15 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     right_b = np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)], axis=1)
     analyses = []
     for n, g in enumerate(gs):
-        r, dr = CovTensor(curv.comps[n]), CovTensor(nabla_r.comps[n])
+        r, dr = curv[n], nabla_r[n]
         analyses.append(MetricAnalysis(
             alg=alg,
             g=g,
-            conn=ConnectionOperator(conn.mats[n]),
+            conn=conn[n],
             curv=r,
             nabla_r=dr,
-            nabla2_r=CovTensor(nabla2_r.comps[n]),
             ric=ric[n],
-            symmetric=dr.norm() <= 1e-9 * max(1.0, r.norm()),
+            symmetric=float(np.max(np.abs(dr))) <= 1e-9 * max(1.0, float(np.max(np.abs(r)))),
             isotropy=isotropy[n],
             right_b=right_b[n],
         ))
@@ -268,7 +259,7 @@ def killing_form(ka: KillingAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return k, np.sort(np.linalg.eigvalsh(k))
 
 
-def _ricci_product_signature(g: InnerProduct, conn: ConnectionOperator, ric: np.ndarray) -> bool:
+def _ricci_product_signature(g: InnerProduct, conn: np.ndarray, ric: np.ndarray) -> bool:
     """Detect the metric-product signature: Ricci eigenvalues (0, -a, -a) with
     the kernel direction parallel (so the flat factor splits off)."""
     # generalized eigenproblem Ric v = lambda G v, via the Cholesky reduction
@@ -285,8 +276,8 @@ def _ricci_product_signature(g: InnerProduct, conn: ConnectionOperator, ric: np.
         return False
     v = linv.T @ evecs[:, int(np.argmax(near_zero))]
     v = v / np.linalg.norm(v)
-    parallel_defect = max(float(np.max(np.abs(conn.mats[i] @ v))) for i in range(3))
-    return parallel_defect <= 1e-8 * max(1.0, float(np.max(np.abs(conn.mats))))
+    parallel_defect = max(float(np.max(np.abs(conn[i] @ v))) for i in range(3))
+    return parallel_defect <= 1e-8 * max(1.0, float(np.max(np.abs(conn))))
 
 
 def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:

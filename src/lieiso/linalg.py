@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteError
+from .errors import DegenerateFormError, NonPositiveDefiniteError
 
 # Coordinate scan order used to canonicalize bases of 3x3 matrix subspaces:
 # lower triangle first, then the diagonal, then the upper triangle.  For
@@ -94,8 +94,9 @@ def check_spd(gram: np.ndarray) -> np.ndarray:
 
     The entries must be finite.  Symmetry is checked relative to the
     magnitude of the entries; positive definiteness through the leading
-    principal minors.  Raises NonPositiveDefiniteError otherwise, returns the
-    symmetrized matrix.
+    principal minors.  Raises NonPositiveDefiniteError otherwise.  A matrix
+    that passes but is singular at ``RANK_TOL`` raises DegenerateFormError.
+    Returns the symmetrized matrix.
     """
     g = np.asarray(gram, dtype=float)
     if g.shape != (3, 3):
@@ -111,4 +112,7 @@ def check_spd(gram: np.ndarray) -> np.ndarray:
             raise NonPositiveDefiniteError(
                 f"Gram matrix is not positive definite (leading {k}x{k} minor <= 0)"
             )
+    rank, _ = rank_and_kernel(g)
+    if rank < 3:
+        raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})")
     return g

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
-from .errors import DegenerateFormError, RangeError, UnsupportedFamilyError
+from .errors import RangeError, UnsupportedFamilyError
 from .linalg import canonical_matrix_basis, check_spd, rank_and_kernel
 
 METRIC_NU = "g_nu"
@@ -85,14 +85,6 @@ def canonical_frame_change(c: float) -> np.ndarray:
             [0.0, 0.0, 1.0],
         ]
     )
-
-
-def mid_c_gram_closed_form(c: float, mu: float, nu: float) -> np.ndarray:
-    """Closed form of the 0 < c < 1 Gram matrix (used as an independent check)."""
-    g00 = (c * mu + c - 2.0) / (2.0 * (c - 1.0) * c * c)
-    g01 = (mu - 1.0) / (2.0 * (c - 1.0) * c)
-    g11 = (mu - 1.0) / (2.0 * (c - 1.0))
-    return np.array([[g00, g01, 0.0], [g01, g11, 0.0], [0.0, 0.0, nu]])
 
 
 # Named tuples, not frozen dataclasses: every snap builds a table, and they
@@ -328,27 +320,22 @@ def _skew_operator(s: np.ndarray) -> np.ndarray:
     return op.reshape(s.shape[:-2] + (9, 9))
 
 
-def skew_algebra(forms: np.ndarray, *, allow_degenerate: bool = False) -> np.ndarray | list[np.ndarray]:
-    """Solve M^T S + S M = 0 for a symmetric 3x3 form S; a canonical basis (k, 3, 3).
+def skew_algebra(forms: np.ndarray) -> list[np.ndarray]:
+    """Solve M^T S + S M = 0 for each symmetric form S of a stack (n, 3, 3).
 
-    ``forms`` is one form (3, 3), which gives one basis, or a stack (n, 3, 3),
-    which gives a list of n bases; the rank decisions are made form by form.
-    For a nondegenerate S the solution space is 3-dimensional.  Degenerate
-    forms raise DegenerateFormError (with the numeric rank attached) unless
-    ``allow_degenerate`` is set, in which case the stabilizer is returned with
-    whatever dimension it has.
+    Returns one canonical basis (k, 3, 3) per form.  The solution space of a
+    nondegenerate S is 3-dimensional; a degenerate S (a Ricci form, say) has
+    a larger stabilizer, returned with whatever dimension it has.  Gram
+    matrices are checked for degeneracy when their metric is built, so no
+    rank of S is decided here.
     """
     s = np.asarray(forms, dtype=float)
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
-    ops = _skew_operator(s)
     bases = []
-    for form, op in zip(s.reshape(-1, 3, 3), ops.reshape(-1, 9, 9)):
-        rank, _ = rank_and_kernel(form)
-        if rank < 3 and not allow_degenerate:
-            raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})", rank=rank)
+    for op in _skew_operator(s):
         _, kernel = rank_and_kernel(op)
         bases.append(canonical_matrix_basis(kernel.reshape(-1, 3, 3)))
-    return bases if s.ndim == 3 else bases[0]
+    return bases
 
 
 def intersect_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:

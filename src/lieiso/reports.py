@@ -117,7 +117,7 @@ def build_report(alg: LieAlgebra3, g: InnerProduct) -> dict[str, Any]:
                 name: {"value": float(value), "tol": RESIDUAL_TOLS[name]}
                 for name, value in residuals.items()
             },
-            "nabla_curvature_norm": float(analysis.nabla_r.norm()),
+            "nabla_curvature_norm": float(np.max(np.abs(analysis.nabla_r))),
         }
     )
 

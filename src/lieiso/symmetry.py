@@ -96,16 +96,25 @@ def analyze_catalog_points(
 ) -> Iterable[tuple[InnerProduct, MetricAnalysis]]:
     """The catalog metric and its analysis at each parameter set, in order.
 
-    All metrics are analysed as one stack.  If building or analysing any of
-    them fails, the points are taken one at a time instead, lazily, so that a
-    caller working through them once, in order, meets the first failure
-    exactly where a loop over the points would.
+    The metrics are built in order up to the first that fails and analysed
+    as one stack when this is called.  They are handed out before that
+    failure is raised, so a caller meets it exactly where a loop over the
+    points would.
     """
+    gs: list[InnerProduct] = []
+    failure = None
     try:
-        gs = [metric_from_table(alg, **p) for p in params]
-        return list(zip(gs, analyze_metrics(alg, gs)))
-    except LieIsoError:  # raised again below, at its own point
-        return ((g, analyze_metrics(alg, [g])[0]) for g in (metric_from_table(alg, **p) for p in params))
+        for p in params:
+            gs.append(metric_from_table(alg, **p))
+    except LieIsoError as exc:
+        failure = exc
+    points = list(zip(gs, analyze_metrics(alg, gs))) if gs else []
+    return _then_raise(points, failure) if failure else points
+
+
+def _then_raise(points: list, failure: LieIsoError):
+    yield from points
+    raise failure
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 from lieiso.algebra import make_algebra_c, make_algebra_I
 from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
-from lieiso.metrics import metric_from_table
+from lieiso.metrics import metric_from_table, skew_algebra
 from lieiso.reports import build_report, stratification_rows, to_json
 from lieiso.symmetry import index_of_symmetry, scan_moduli
 
@@ -18,6 +18,7 @@ LEVI_CIVITA = importlib.import_module("lieiso.curvature").levi_civita
 SINGER_ISOTROPY = importlib.import_module("lieiso.isometry").singer_isotropy
 CONSTANT_SECTIONAL = importlib.import_module("lieiso.curvature").constant_sectional
 RIGHT_INVARIANT_B = importlib.import_module("lieiso.isometry").right_invariant_b
+RANK_AND_KERNEL = importlib.import_module("lieiso.linalg").rank_and_kernel
 
 
 def _count_calls(monkeypatch, fn, importers: int = 1) -> list:
@@ -115,3 +116,24 @@ def test_shared_analysis_gives_the_same_answers(monkeypatch):
     np.testing.assert_array_equal(ka.generators[3].b, analysis.isotropy[0])
     assert sym.index == 1
     np.testing.assert_allclose(sym.generator, [1.0, -0.5, 0.0], atol=1e-9)
+
+
+def test_rank_decisions_of_an_isotropy_zero_report(monkeypatch):
+    # one decision on the Gram matrix, when the metric is built; the report
+    # solves the skew algebras of the metric and of its Ricci form, their
+    # intersection (empty here, so no Singer solve) and the index
+    alg = make_algebra_c(4.0)
+    calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
+    g = metric_from_table(alg, mu=2.0, nu=1.0)
+    assert len(calls) == 1
+    report = build_report(alg, g)
+    assert report["isometry"]["isotropy_dim"] == 0
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_skew_algebra_makes_one_rank_decision_per_form(monkeypatch, n):
+    forms = np.stack([np.diag([1.0, 1.0 + k, 2.0]) for k in range(n)])
+    calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
+    assert [len(b) for b in skew_algebra(forms)] == [3] * n
+    assert len(calls) == n

@@ -9,9 +9,12 @@ deletion fail here first.
 import importlib
 import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import lieiso
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 FUNCTION_FIGURES = [
@@ -31,3 +34,17 @@ def test_named_function_exists(name):
     fn = getattr(mod, function, None)
     assert inspect.isfunction(fn), f"lieiso.{module}.{function} is not a function"
     assert fn.__module__ == mod.__name__, f"lieiso.{module}.{function} is defined in {fn.__module__}"
+
+
+def test_public_functions_are_not_generators():
+    # The traced run times each public function from call to return and
+    # checks that every frame of one is entered through its wrapper; the body
+    # of a generator function runs later, from its consumer's frame.
+    modules = [info.name for info in pkgutil.iter_modules(lieiso.__path__)]
+    generators = [
+        f"{short}.{name}"
+        for short in modules
+        for name, fn in vars(importlib.import_module(f"lieiso.{short}")).items()
+        if inspect.isgeneratorfunction(fn) and not name.startswith("_")
+    ]
+    assert generators == []

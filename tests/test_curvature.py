@@ -102,7 +102,7 @@ def test_c_above_one_boundary_is_hyperbolic_and_einstein(c, nu):
     curv = curvature(conn, alg)
     assert constant_sectional(curv, g) == pytest.approx(-1.0 / nu, abs=1e-10)
     np.testing.assert_allclose(ricci(curv), -2.0 / nu * g.coeffs, atol=1e-11)
-    assert covariant_derivative(curv, conn).norm() <= 1e-12
+    assert np.max(np.abs(covariant_derivative(curv, conn))) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [1.0 / 9.0, 0.25, 9.0 / 16.0])
@@ -157,18 +157,18 @@ def test_connection_and_curvature_identities(alg, kwargs):
     assert second_bianchi_defect(covariant_derivative(curv, conn)) <= 1e-11
     # antisymmetry in the plane arguments
     np.testing.assert_allclose(
-        curv.comps, -curv.comps.transpose(1, 0, 2, 3), atol=1e-13
+        curv, -curv.transpose(1, 0, 2, 3), atol=1e-13
     )
     # each R(x, y) is skew with respect to g
     gram = g.coeffs
     for i in range(3):
         for j in range(3):
-            end = curv.comps[i, j].T  # endomorphism matrix, output index first
+            end = curv[i, j].T  # endomorphism matrix, output index first
             np.testing.assert_allclose(
                 end.T @ gram + gram @ end, np.zeros((3, 3)), atol=1e-12
             )
     # pair symmetry <R(x,y)z, w> = <R(z,w)x, y>
-    lowered = np.einsum("ijkl,lm->ijkm", curv.comps, gram)
+    lowered = np.einsum("ijkl,lm->ijkm", curv, gram)
     np.testing.assert_allclose(lowered, lowered.transpose(2, 3, 0, 1), atol=1e-12)
     # Ricci contraction is symmetric
     ric = ricci(curv)
@@ -180,9 +180,9 @@ def test_curvature_derivatives_orders():
     g = metric_from_table(alg, mu=1.0, nu=1.0)
     conn = levi_civita(alg, g.coeffs)
     tensors = curvature_derivatives(conn, alg)
-    assert [t.order for t in tensors] == [3, 4, 5]
+    assert [t.ndim - 1 for t in tensors] == [3, 4, 5]
     np.testing.assert_allclose(
-        tensors[1].comps, covariant_derivative(tensors[0], conn).comps
+        tensors[1], covariant_derivative(tensors[0], conn)
     )
 
 
@@ -196,8 +196,8 @@ def test_isotropy_generator_annihilates_curvature_jets(mu, nu):
     conn = levi_civita(alg, g.coeffs)
     a = goldens.isotropy_generator_c0(mu, nu)
     for t in curvature_derivatives(conn, alg):
-        scale = max(1.0, t.norm())
-        assert so_action(a, t).norm() <= 1e-9 * scale
+        scale = max(1.0, np.max(np.abs(t)))
+        assert np.max(np.abs(so_action(a, t))) <= 1e-9 * scale
 
 
 def test_so_action_is_an_anti_homomorphism():
@@ -208,10 +208,10 @@ def test_so_action_is_an_anti_homomorphism():
     for _ in range(5):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
-        lhs = so_action(a @ b - b @ a, curv).comps
+        lhs = so_action(a @ b - b @ a, curv)
         rhs = (
-            so_action(b, so_action(a, curv)).comps
-            - so_action(a, so_action(b, curv)).comps
+            so_action(b, so_action(a, curv))
+            - so_action(a, so_action(b, curv))
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.max(np.abs(rhs))))
 
@@ -219,11 +219,9 @@ def test_so_action_is_an_anti_homomorphism():
 def test_so_action_on_vectors_and_metric_stabilizer():
     # A type-(1,0) tensor transforms as -a v; g-skew operators arise as the
     # stabilizer of the Gram matrix, so a . g = 0 reads a^T G + G a = 0.
-    from lieiso.curvature import CovTensor
-
     a = np.array([[0.0, -2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    v = CovTensor(comps=np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(so_action(a, v).comps, -a @ np.array([1.0, 2.0, 3.0]))
+    v = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_allclose(so_action(a, v), -a @ np.array([1.0, 2.0, 3.0]))
 
 
 @hyp_settings(max_examples=20, deadline=None)

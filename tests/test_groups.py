@@ -11,20 +11,17 @@ from lieiso.groups import (
     FD_STEP_CURVATURE,
     bracket_field_residual,
     generator_block,
-    inverse,
     killing_residual,
     left_frame,
-    left_invariant_field,
     metric_field,
-    multiply,
     numeric_ricci,
     numeric_ricci_frame,
-    numeric_sectional,
     phi,
     right_frame,
     right_invariant_field,
 )
 from lieiso.metrics import metric_from_table
+from oracles import inverse, left_invariant_field, multiply, numeric_sectional
 
 ALL_ALGEBRAS = [
     make_algebra_I(),

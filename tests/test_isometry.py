@@ -25,7 +25,7 @@ GRID = [0.5, 1.0, 2.0]
 
 def _isotropy(alg, g):
     tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
-    return singer_isotropy(g.coeffs, tensors, ricci(tensors[0]))
+    return singer_isotropy(g.coeffs[None], [t[None] for t in tensors], ricci(tensors[0])[None])[0]
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -78,9 +78,9 @@ def test_full_isotropy_for_hyperbolic_metrics(nu):
 def _singer_without_prefilter(alg, g):
     """The Singer solve on the whole metric-skew algebra, with no Ricci prefilter."""
     tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
-    space = skew_algebra(g.coeffs)
-    blocks = [np.stack([so_action(m, t).comps.ravel() for m in space], axis=1) for t in tensors]
-    scale = max(float(np.max(np.abs(t.comps))) for t in tensors) * float(np.max(np.abs(space)))
+    space = skew_algebra(g.coeffs[None])[0]
+    blocks = [np.stack([so_action(m, t).ravel() for m in space], axis=1) for t in tensors]
+    scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
     _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
@@ -106,7 +106,7 @@ def test_right_invariant_b_equals_connection_endomorphism():
     g = metric_from_table(alg, mu=0.3, nu=1.0)
     conn = levi_civita(alg, g.coeffs)
     for v in np.eye(3):
-        np.testing.assert_allclose(right_invariant_b(alg, conn, v), conn(v), atol=1e-13)
+        np.testing.assert_allclose(right_invariant_b(alg, conn, v), np.einsum("i,ikl->kl", v, conn), atol=1e-13)
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -171,7 +171,7 @@ def test_killing_bracket_encoding():
     # [r0, r2] is again a Killing field: its derivative part must be the
     # connection endomorphism of its value part
     br02 = killing_bracket(gens[0], gens[2], curv)
-    np.testing.assert_allclose(br02.b, conn(br02.v), atol=1e-10)
+    np.testing.assert_allclose(br02.b, np.einsum("i,ikl->kl", br02.v, conn), atol=1e-10)
 
 
 CLASSIFY_CASES = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+import oracles
 from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.errors import DegenerateFormError, NonPositiveDefiniteError, RangeError
 from lieiso.metrics import (
@@ -11,7 +12,6 @@ from lieiso.metrics import (
     _skew_operator,
     inner_product_from_gram,
     metric_from_table,
-    mid_c_gram_closed_form,
     skew_algebra,
     snap_parameters,
     stratum_table,
@@ -51,7 +51,7 @@ def test_c_above_one_off_diagonal_sheet():
 )
 def test_mid_c_gram_matches_closed_form(c, mu, nu):
     g = metric_from_table(make_algebra_c(c), mu=mu, nu=nu)
-    np.testing.assert_allclose(g.coeffs, mid_c_gram_closed_form(c, mu, nu), atol=1e-12)
+    np.testing.assert_allclose(g.coeffs, oracles.mid_c_gram_closed_form(c, mu, nu), atol=1e-12)
 
 
 def test_lambda_sheet_construction():
@@ -161,7 +161,7 @@ def test_skew_algebra_of_diagonal_form():
     # For diag(1, mu, nu) the compatible skew operators form a
     # three-dimensional space with a canonical echelon basis.
     mu, nu = 2.0, 0.5
-    space = skew_algebra(np.diag([1.0, mu, nu]))
+    space = skew_algebra(np.diag([1.0, mu, nu])[None])[0]
     assert len(space) == 3
     want = [
         np.array([[0.0, -mu, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -174,17 +174,20 @@ def test_skew_algebra_of_diagonal_form():
 
 def test_skew_algebra_members_annihilate_the_form():
     gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
-    space = skew_algebra(gram)
+    space = skew_algebra(gram[None])[0]
     assert len(space) == 3
     for a in space:
         np.testing.assert_allclose(a.T @ gram + gram @ a, np.zeros((3, 3)), atol=1e-10)
 
 
 def test_skew_algebra_degenerate_form():
-    with pytest.raises(DegenerateFormError) as err:
-        skew_algebra(np.diag([1.0, 1.0, 0.0]))
-    assert err.value.rank == 2
-    space = skew_algebra(np.diag([1.0, 1.0, 0.0]), allow_degenerate=True)
+    # a Gram matrix singular at the rank cutoff is rejected when the metric
+    # is built; the solver itself takes degenerate forms such as Ricci forms
+    with pytest.raises(DegenerateFormError, match="rank 2"):
+        inner_product_from_gram(np.diag([1.0, 1.0, 1e-10]))
+    with pytest.raises(DegenerateFormError, match="rank 2"):
+        metric_from_table(make_algebra_c(0.25), mu=0.5, nu=1e-9)
+    space = skew_algebra(np.diag([1.0, 1.0, 0.0])[None])[0]
     assert len(space) == 4  # degenerate forms have a larger stabilizer
 
 
@@ -193,7 +196,7 @@ def test_skew_algebra_degenerate_form():
 def test_skew_algebra_dimension_three_for_random_spd(entries):
     a = np.array(entries).reshape(3, 3)
     gram = a.T @ a + 0.5 * np.eye(3)
-    space = skew_algebra(gram)
+    space = skew_algebra(gram[None])[0]
     assert len(space) == 3
     for m in space:
         np.testing.assert_allclose(m.T @ gram + gram @ m, np.zeros((3, 3)), atol=1e-8)
