@@ -20,14 +20,12 @@ from .algebra import (
     make_algebra_I,
 )
 from .curvature import (
-    constant_sectional,
     covariant_derivative,
     curvature,
     curvature_derivatives,
     levi_civita,
     ricci,
     scalar_curvature,
-    sectional_curvature,
     so_action,
 )
 from .errors import (
@@ -97,7 +95,6 @@ __all__ = [
     "analyze_metrics",
     "build_report",
     "classify_isometry_group",
-    "constant_sectional",
     "covariant_derivative",
     "curvature",
     "curvature_derivatives",
@@ -115,7 +112,6 @@ __all__ = [
     "ricci",
     "scalar_curvature",
     "scan_moduli",
-    "sectional_curvature",
     "singer_isotropy",
     "snap_parameters",
     "so_action",

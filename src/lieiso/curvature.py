@@ -7,7 +7,6 @@ closed-form Ricci data:
 * Koszul:    2 <L(x) y, z> = <[x,y], z> - <[y,z], x> + <[z,x], y>
 * curvature: R(x, y) = L(x) L(y) - L(y) L(x) - L([x, y])
 * Ricci:     Ric(y, z) = trace of x -> R(x, y) z
-* sectional: K(x, y) = <R(x,y) y, x> / (|x|^2 |y|^2 - <x,y>^2)
 
 All data are plain ndarrays.  The connection ``conn`` (3, 3, 3) holds
 ``conn[i] = L(e_i)``.  A type-(1, k) tensor has k input slots first and the
@@ -60,45 +59,9 @@ def ricci(curv: np.ndarray) -> np.ndarray:
     return np.einsum("...ijki->...jk", curv)
 
 
-def scalar_curvature(ric: np.ndarray, g: InnerProduct) -> float:
-    return float(np.trace(np.linalg.solve(g.coeffs, ric)))
-
-
-def sectional_curvature(curv: np.ndarray, g: InnerProduct, x: np.ndarray, y: np.ndarray) -> float:
-    """Sectional curvature of the plane spanned by x, y (must be independent)."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    rxyy = np.einsum("ijkl,i,j,k->l", curv, x, y, y)
-    num = g.pairing(rxyy, x)
-    den = g.pairing(x, x) * g.pairing(y, y) - g.pairing(x, y) ** 2
-    if den <= 0.0:
-        raise ValueError("sectional curvature needs two linearly independent vectors")
-    return num / den
-
-
-#: Largest spread of the probed sectional curvatures, relative to
-#: 1 + max|K|, for which the curvature counts as constant.
-SECTIONAL_TOL = 1e-9
-
-# Planes probed when deciding whether the curvature is constant: the three
-# coordinate planes plus a few slanted ones.
-_PROBE_PLANES = [
-    (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
-    (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])),
-    (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])),
-    (np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])),
-    (np.array([1.0, -1.0, 2.0]), np.array([2.0, 1.0, -1.0])),
-    (np.array([1.0, 2.0, -1.0]), np.array([-1.0, 1.0, 1.0])),
-]
-
-
-def constant_sectional(curv: np.ndarray, g: InnerProduct) -> float | None:
-    """The common sectional curvature if it is plane-independent, else None."""
-    values = [sectional_curvature(curv, g, x, y) for x, y in _PROBE_PLANES]
-    spread = max(values) - min(values)
-    if spread <= SECTIONAL_TOL * (1.0 + max(abs(v) for v in values)):
-        return float(np.mean(values))
-    return None
+def scalar_curvature(ric: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """tr(G^-1 Ric); a stack of Ricci forms and Gram matrices gives one value per item."""
+    return np.trace(np.linalg.solve(gram, ric), axis1=-2, axis2=-1)
 
 
 # Letters for the input slots of a tensor in the einsum subscripts below.

@@ -25,19 +25,17 @@ from enum import Enum
 import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
-from .curvature import (
-    constant_sectional,
-    curvature_derivatives,
-    levi_civita,
-    ricci,
-    so_action,
-)
+from .curvature import curvature_derivatives, levi_civita, ricci, scalar_curvature, so_action
 from .errors import InternalConsistencyError, UnsupportedFamilyError
 from .linalg import rank_and_kernel, canonical_matrix_basis
 from .metrics import InnerProduct, intersect_skew, skew_algebra
 
 #: Tolerance for re-projecting Killing brackets onto the generator basis.
 CLOSURE_TOL = 1e-8
+
+#: Relative tolerance of the Ricci-spectrum decisions: eigenvalues within
+#: RICCI_TOL * max|lambda| of each other (or of zero) count as equal (or zero).
+RICCI_TOL = 1e-9
 
 
 class IsometryGroupTag(str, Enum):
@@ -152,8 +150,11 @@ class MetricAnalysis:
     """The data every classifier reads, computed once per metric.
 
     ``symmetric`` is the one parallel-curvature decision (nabla R = 0 relative
-    to the size of R); ``isotropy`` is the Singer isotropy basis (k, 3, 3);
-    ``right_b[i]`` is the derivative B of the right-invariant field of value e_i.
+    to the size of R); ``ricci_eigenvalues`` (ascending) and ``ricci_axes``
+    (columns: g-orthonormal eigenvectors in the e-frame) are the spectrum of
+    Ric relative to g, and ``scalar`` its trace; ``isotropy`` is the Singer
+    isotropy basis (k, 3, 3); ``right_b[i]`` is the derivative B of the
+    right-invariant field of value e_i.
     """
 
     alg: LieAlgebra3
@@ -162,13 +163,16 @@ class MetricAnalysis:
     curv: np.ndarray
     nabla_r: np.ndarray
     ric: np.ndarray
+    ricci_eigenvalues: np.ndarray
+    ricci_axes: np.ndarray
+    scalar: float
     symmetric: bool
     isotropy: np.ndarray
     right_b: np.ndarray
 
 
 def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
-    """Connection, R, nabla R, Ricci, isotropy and the right-invariant B of each metric.
+    """Connection, R, nabla R, Ricci spectrum, isotropy and right-invariant B of each metric.
 
     The Gram matrices of ``gs`` are stacked and each kernel runs once for the
     whole stack; the result holds one MetricAnalysis per metric, in order,
@@ -179,6 +183,12 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     conn = levi_civita(alg, grams)
     curv, nabla_r, nabla2_r = curvature_derivatives(conn, alg)
     ric = ricci(curv)
+    # generalized eigenproblem Ric v = lambda G v, via the Cholesky reduction
+    linv = np.linalg.inv(np.linalg.cholesky(grams))
+    sym = linv @ ric @ np.swapaxes(linv, -1, -2)
+    evals, evecs = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
+    axes = np.swapaxes(linv, -1, -2) @ evecs
+    scalar = scalar_curvature(ric, grams)
     isotropy = singer_isotropy(grams, (curv, nabla_r, nabla2_r), ric)
     right_b = np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)], axis=1)
     analyses = []
@@ -191,6 +201,9 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
             curv=r,
             nabla_r=dr,
             ric=ric[n],
+            ricci_eigenvalues=evals[n],
+            ricci_axes=axes[n],
+            scalar=float(scalar[n]),
             symmetric=float(np.max(np.abs(dr))) <= 1e-9 * max(1.0, float(np.max(np.abs(r)))),
             isotropy=isotropy[n],
             right_b=right_b[n],
@@ -203,10 +216,6 @@ class KillingAlgebra:
     generators: tuple[KillingGenerator, ...]
     structure: np.ndarray  # structure[a, b, m]: coefficient of generator m in [gen_a, gen_b]
     closure_residual: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -259,25 +268,21 @@ def killing_form(ka: KillingAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return k, np.sort(np.linalg.eigvalsh(k))
 
 
-def _ricci_product_signature(g: InnerProduct, conn: np.ndarray, ric: np.ndarray) -> bool:
-    """Detect the metric-product signature: Ricci eigenvalues (0, -a, -a) with
+def _ricci_product_signature(a: MetricAnalysis) -> bool:
+    """Detect the metric-product signature: Ricci eigenvalues (0, -b, -b) with
     the kernel direction parallel (so the flat factor splits off)."""
-    # generalized eigenproblem Ric v = lambda G v, via the Cholesky reduction
-    l = np.linalg.cholesky(g.coeffs)
-    linv = np.linalg.inv(l)
-    sym = linv @ ric @ linv.T
-    evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    near_zero = np.abs(evals) < 1e-8 * scale
+    evals = a.ricci_eigenvalues
+    tol = RICCI_TOL * float(np.max(np.abs(evals)))
+    near_zero = np.abs(evals) <= tol
     if int(near_zero.sum()) != 1:
         return False
     nonzero = evals[~near_zero]
-    if len(nonzero) != 2 or abs(nonzero[0] - nonzero[1]) > 1e-8 * scale or nonzero[0] >= 0:
+    if nonzero[1] - nonzero[0] > tol or nonzero[0] >= 0:
         return False
-    v = linv.T @ evecs[:, int(np.argmax(near_zero))]
+    v = a.ricci_axes[:, int(np.argmax(near_zero))]
     v = v / np.linalg.norm(v)
-    parallel_defect = max(float(np.max(np.abs(conn[i] @ v))) for i in range(3))
-    return parallel_defect <= 1e-8 * max(1.0, float(np.max(np.abs(conn))))
+    parallel_defect = float(np.max(np.abs(a.conn @ v)))
+    return parallel_defect <= RICCI_TOL * max(1.0, float(np.max(np.abs(a.conn))))
 
 
 def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
@@ -292,9 +297,12 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
     """
     if a.alg.family not in (FAMILY_I, FAMILY_C):
         raise UnsupportedFamilyError("classification requires family I or c")
-    g, symmetric, iso = a.g, a.symmetric, a.isotropy
+    symmetric, iso, evals = a.symmetric, a.isotropy, a.ricci_eigenvalues
     k = len(iso)
-    sec = constant_sectional(a.curv, g)
+    # in dimension 3 the curvature is constant iff Ric = 2K g, i.e. iff the
+    # Ricci spectrum is a single eigenvalue; then K = scal / 6
+    constant = evals[-1] - evals[0] <= RICCI_TOL * float(np.max(np.abs(evals)))
+    sec = a.scalar / 6.0 if constant else None
 
     if k == 2:
         raise InternalConsistencyError("isotropy dimension 2 cannot occur in dimension 3")
@@ -306,7 +314,7 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
         tag = IsometryGroupTag.SO31
     elif k == 1:
         if symmetric:
-            if not _ricci_product_signature(g, a.conn, a.ric):
+            if not _ricci_product_signature(a):
                 raise InternalConsistencyError(
                     "parallel curvature with 1-dimensional isotropy must be a metric product"
                 )

@@ -17,7 +17,6 @@ from .algebra import FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
 from .curvature import (
     first_bianchi_defect,
     metric_compatibility_defect,
-    scalar_curvature,
     second_bianchi_defect,
     torsion_defect,
 )
@@ -57,7 +56,6 @@ def build_report(alg: LieAlgebra3, g: InnerProduct) -> dict[str, Any]:
     """Full classification report for one left-invariant metric."""
     analysis = analyze_metrics(alg, [g])[0]
     conn, curv, ric = analysis.conn, analysis.curv, analysis.ric
-    scal = scalar_curvature(ric, g)
 
     descriptor = classify_isometry_group(analysis)
     ka = killing_algebra(analysis)
@@ -90,7 +88,7 @@ def build_report(alg: LieAlgebra3, g: InnerProduct) -> dict[str, Any]:
             },
             "curvature": {
                 "ricci": ric,
-                "scalar": scal,
+                "scalar": analysis.scalar,
                 "sectional_constant": descriptor.sectional_constant,
                 "parallel_curvature": analysis.symmetric,
             },

@@ -3,7 +3,8 @@
 These are the one-metric-at-a-time kernels the stacked ones replaced,
 kept verbatim as the bit-for-bit reference for ``tests/test_stacked.py``:
 the ``tensordot`` covariant derivative, the per-basis so(3) action loop,
-the per-form skew-algebra solve and the per-point analysis.
+the per-form skew-algebra solve, the per-point Ricci spectrum and the
+per-point analysis.
 """
 
 import numpy as np
@@ -85,6 +86,15 @@ def singer_isotropy(g, tensors, ric):
     return _normalize_isotropy(canonical_matrix_basis(mats))
 
 
+def ricci_spectrum(g, ric):
+    """Eigenvalues (ascending) and g-orthonormal eigenvectors of Ric v = lambda G v."""
+    l = np.linalg.cholesky(g.coeffs)
+    linv = np.linalg.inv(l)
+    sym = linv @ ric @ linv.T
+    evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    return evals, linv.T @ evecs
+
+
 def right_invariant_b(alg, conn, v):
     v = np.asarray(v, float)
     cols = [conn[j] @ v - alg.bracket(np.eye(3)[j], v) for j in range(3)]
@@ -97,6 +107,7 @@ def analyze_metric(alg, g):
     nabla_r = covariant_derivative(curv, conn)
     nabla2_r = covariant_derivative(nabla_r, conn)
     ric = ricci(curv)
+    evals, axes = ricci_spectrum(g, ric)
     return MetricAnalysis(
         alg=alg,
         g=g,
@@ -104,6 +115,9 @@ def analyze_metric(alg, g):
         curv=curv,
         nabla_r=nabla_r,
         ric=ric,
+        ricci_eigenvalues=evals,
+        ricci_axes=axes,
+        scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
         symmetric=float(np.max(np.abs(nabla_r))) <= 1e-9 * max(1.0, float(np.max(np.abs(curv)))),
         isotropy=singer_isotropy(g, (curv, nabla_r, nabla2_r), ric),
         right_b=np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)]),

@@ -15,6 +15,11 @@ from pathlib import Path
 import pytest
 
 import lieiso
+from lieiso import metrics
+from lieiso.algebra import make_algebra_c
+from lieiso.metrics import metric_from_table
+from lieiso.reports import build_report, stratification_rows
+from lieiso.symmetry import scan_moduli
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 FUNCTION_FIGURES = [
@@ -48,3 +53,24 @@ def test_public_functions_are_not_generators():
         if inspect.isgeneratorfunction(fn) and not name.startswith("_")
     ]
     assert generators == []
+
+
+@pytest.mark.parametrize("op", [
+    lambda: build_report(make_algebra_c(4.0), metric_from_table(make_algebra_c(4.0), mu=2.9, nu=1.5)),
+    lambda: stratification_rows("c", 0.25),
+    lambda: scan_moduli("I"),
+], ids=["build_report", "stratification_rows", "scan_moduli"])
+def test_each_workload_reaches_rank_and_kernel_through_metrics(monkeypatch, op):
+    # The traced run's self-test unwraps the binding of rank_and_kernel in
+    # lieiso.metrics and needs the first operation of every workload to
+    # reach it there.
+    calls = []
+    original = metrics.rank_and_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "rank_and_kernel", counting)
+    op()
+    assert calls

@@ -254,6 +254,18 @@ def test_outcomes_next_to_an_so31_line(capsys, argv, code, outcome):
         assert err.strip() == f"error: {outcome}"
 
 
+def test_no_constant_curvature_from_curvatures_near_zero(capsys):
+    # every curvature is about 1e-8 here; an absolute spread test once
+    # printed a constant sectional curvature beside TranslationsOnly
+    code, out, err = run_cli(
+        capsys, "classify", "--json", "--family", "c", "--c", "0.999999999", "--mu", "0.99", "--nu", "1e8"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["isometry"]["group_tag"] == "TranslationsOnly"
+    assert report["curvature"]["sectional_constant"] is None
+
+
 @pytest.mark.parametrize(
     "argv,code,error",
     [

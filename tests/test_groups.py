@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from lieiso.algebra import make_algebra_I, make_algebra_c
-from lieiso.curvature import constant_sectional, curvature, levi_civita, ricci
+from lieiso.curvature import curvature, levi_civita, ricci
 from lieiso.groups import (
     FD_STEP,
     FD_STEP_CURVATURE,
@@ -21,7 +21,7 @@ from lieiso.groups import (
     right_invariant_field,
 )
 from lieiso.metrics import metric_from_table
-from oracles import inverse, left_invariant_field, multiply, numeric_sectional
+from oracles import constant_sectional, inverse, left_invariant_field, multiply, numeric_sectional
 
 ALL_ALGEBRAS = [
     make_algebra_I(),

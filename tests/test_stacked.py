@@ -3,6 +3,8 @@
 ``perpoint`` holds the one-metric-at-a-time kernels as the reference.  Every
 field of every MetricAnalysis is compared with ``np.array_equal`` and with
 equal sign bits, so that a zero of the other sign counts as a difference.
+The constant-curvature decision read off the stacked Ricci spectrum is also
+checked, on the same scan points, against the six-plane probe of ``oracles``.
 """
 
 import numpy as np
@@ -13,12 +15,14 @@ from lieiso.algebra import FAMILY_C, FAMILY_I, make_algebra_c, make_algebra_I
 from lieiso.cli import DEFAULT_GROUPS
 from lieiso.curvature import covariant_derivative, curvature, levi_civita, so_action
 from lieiso.errors import DegenerateFormError, RangeError
-from lieiso.isometry import analyze_metrics
+from lieiso.isometry import analyze_metrics, classify_isometry_group
 from lieiso.metrics import metric_from_table
 from lieiso.symmetry import analyze_catalog_points, scan_moduli
+from oracles import constant_sectional
 
 GROUPS = DEFAULT_GROUPS + [(FAMILY_C, -0.7), (FAMILY_C, 0.81), (FAMILY_C, 5.5)]
-FIELDS = ("conn", "curv", "nabla_r", "ric", "symmetric", "isotropy", "right_b")
+FIELDS = ("conn", "curv", "nabla_r", "ric", "ricci_eigenvalues", "ricci_axes", "scalar",
+          "symmetric", "isotropy", "right_b")
 
 
 def _scan_metrics(family, c):
@@ -49,6 +53,18 @@ def test_stack_equals_per_point_analysis(family, c):
         want = perpoint.analyze_metric(alg, g)
         assert_same_analysis(got, want, f"{family} c={c} point {n}")
         assert_same_analysis(analyze_metrics(alg, [g])[0], want, f"{family} c={c} point {n} alone")
+
+
+@pytest.mark.parametrize("family,c", GROUPS)
+def test_ricci_spectrum_decides_constant_curvature_as_the_six_probes_do(family, c):
+    alg, gs = _scan_metrics(family, c)
+    for n, (g, a) in enumerate(zip(gs, analyze_metrics(alg, gs))):
+        got = classify_isometry_group(a).sectional_constant
+        want = constant_sectional(a.curv, g)
+        assert (got is None) == (want is None), f"{family} c={c} point {n}"
+        if got is not None:
+            assert abs(got - want) <= 1e-15 * abs(want), f"{family} c={c} point {n}"
+            assert got == a.scalar / 6.0, f"{family} c={c} point {n}"
 
 
 @pytest.mark.parametrize("family,c", GROUPS)
