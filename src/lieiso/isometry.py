@@ -15,6 +15,9 @@ Killing fields have v = 0 and B solving the Singer conditions
     B . R = 0,  B . (nabla R) = 0,  B . (nabla^2 R) = 0,
 
 which in dimension 3 (where n(n-1)/2 = 3) already certify integrability.
+Every solution B stabilizes the Ricci form, so the conditions are solved on
+that stabilizer in so(g), decided in the g-orthonormal Cholesky frame in
+which ``analyze_metrics`` also reads the Ricci spectrum.
 """
 
 from __future__ import annotations
@@ -88,22 +91,24 @@ def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: np.ndarray) 
 
 def singer_isotropy(
     grams: np.ndarray,
+    frames: np.ndarray,
+    forms: np.ndarray,
     tensors: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rics: np.ndarray,
 ) -> list[np.ndarray]:
     """Basis (k, 3, 3) of the isotropy algebra of each metric of a stack, canonically normalized.
 
-    Solves the Singer conditions on the metric-skew algebra of each Gram
-    matrix of ``grams`` (n, 3, 3), given the stacked (R, nabla R, nabla^2 R)
-    as ``tensors`` and the Ricci forms as ``rics``, all with the same leading
-    axis.  The search space is first cut down to the stabilizer of the Ricci
-    form (which contains every solution, since Ricci is a curvature
-    contraction); this never changes the answer and the tests assert as
-    much.  The so(3) action is applied once per tensor for every
-    search-space matrix of the stack; each metric keeps its own rank
+    Solves the Singer conditions for the Gram matrices ``grams`` (n, 3, 3),
+    given g-orthonormal ``frames`` F, the Ricci forms in those frames as
+    ``forms`` (F^T Ric F) and the stacked (R, nabla R, nabla^2 R) as
+    ``tensors``, all with the same leading axis.  The search space is the
+    stabilizer of the Ricci form in so(g), which contains every solution
+    since Ricci is a curvature contraction: ``skew_algebra`` gives so(g) in
+    closed form and ``intersect_skew`` decides the stabilizer with one rank
+    decision per metric.  The so(3) action is applied once per tensor for
+    every search-space matrix of the stack; each metric keeps its own rank
     decision.
     """
-    spaces = [intersect_skew(a, b) for a, b in zip(skew_algebra(grams), skew_algebra(rics))]
+    spaces = intersect_skew(skew_algebra(frames, grams), forms)
     # every (metric, search-space matrix) pair of the stack, acted on each tensor
     owner = [n for n, space in enumerate(spaces) for _ in space]
     acted = [so_action(np.concatenate(spaces), t[owner]).reshape(len(owner), -1)
@@ -170,6 +175,13 @@ class MetricAnalysis:
     isotropy: np.ndarray
     right_b: np.ndarray
 
+    @property
+    def constant_curvature(self) -> bool:
+        """Whether the curvature is constant: in dimension 3 iff Ric = 2K g,
+        i.e. iff the Ricci spectrum is one eigenvalue, within RICCI_TOL."""
+        evals = self.ricci_eigenvalues
+        return bool(evals[-1] - evals[0] <= RICCI_TOL * float(np.max(np.abs(evals))))
+
 
 def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
     """Connection, R, nabla R, Ricci spectrum, isotropy and right-invariant B of each metric.
@@ -183,13 +195,16 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     conn = levi_civita(alg, grams)
     curv, nabla_r, nabla2_r = curvature_derivatives(conn, alg)
     ric = ricci(curv)
-    # generalized eigenproblem Ric v = lambda G v, via the Cholesky reduction
+    # generalized eigenproblem Ric v = lambda G v, in the g-orthonormal frame
+    # F = L^-T of the Cholesky factor G = L L^T, where Ric becomes sym
     linv = np.linalg.inv(np.linalg.cholesky(grams))
-    sym = linv @ ric @ np.swapaxes(linv, -1, -2)
-    evals, evecs = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
-    axes = np.swapaxes(linv, -1, -2) @ evecs
+    frames = np.swapaxes(linv, -1, -2)
+    sym = linv @ ric @ frames
+    sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
+    evals, evecs = np.linalg.eigh(sym)
+    axes = frames @ evecs
     scalar = scalar_curvature(ric, grams)
-    isotropy = singer_isotropy(grams, (curv, nabla_r, nabla2_r), ric)
+    isotropy = singer_isotropy(grams, frames, sym, (curv, nabla_r, nabla2_r))
     right_b = np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)], axis=1)
     analyses = []
     for n, g in enumerate(gs):
@@ -297,12 +312,10 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
     """
     if a.alg.family not in (FAMILY_I, FAMILY_C):
         raise UnsupportedFamilyError("classification requires family I or c")
-    symmetric, iso, evals = a.symmetric, a.isotropy, a.ricci_eigenvalues
+    symmetric, iso = a.symmetric, a.isotropy
     k = len(iso)
-    # in dimension 3 the curvature is constant iff Ric = 2K g, i.e. iff the
-    # Ricci spectrum is a single eigenvalue; then K = scal / 6
-    constant = evals[-1] - evals[0] <= RICCI_TOL * float(np.max(np.abs(evals)))
-    sec = a.scalar / 6.0 if constant else None
+    # a constant curvature K is scal / 6 in dimension 3
+    sec = a.scalar / 6.0 if a.constant_curvature else None
 
     if k == 2:
         raise InternalConsistencyError("isotropy dimension 2 cannot occur in dimension 3")

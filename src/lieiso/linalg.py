@@ -1,7 +1,11 @@
 """Dense linear-algebra helpers: rank/kernel decisions and canonical bases.
 
 Every rank decision in the package funnels through :func:`rank_and_kernel`,
-which applies the one relative cutoff ``RANK_TOL``.
+which applies the one relative cutoff ``RANK_TOL``.  A classify report makes
+three or four: the Gram matrix when its metric is built, the stabilizer of
+the Ricci form in so(g), the Singer solve when that stabilizer is not
+empty, and the index of symmetry.  :func:`canonical_matrix_basis` reduces
+only the isotropy basis the Singer solve finds.
 """
 
 from __future__ import annotations

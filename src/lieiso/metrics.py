@@ -8,6 +8,12 @@ parameter ranges; arbitrary SPD Gram matrices can be wrapped with
 ``stratum_table`` gives the strata of each group: their boundary lines (the
 snap targets), keys and singular locus.
 
+The Singer search space of a metric is decided in a g-orthonormal frame F,
+the Cholesky frame of its Gram matrix.  There so(g) is the constant so(3):
+``skew_algebra`` writes it down in closed form, M_k = F E_k F^-1, and
+``intersect_skew`` keeps the rotations that commute with a symmetric form
+written in F (the Ricci form), with one rank decision per metric.
+
 Catalog (nu > 0 throughout):
 
 * family I:            g_nu      = diag(1, 1, nu)
@@ -33,7 +39,7 @@ import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .errors import RangeError, UnsupportedFamilyError
-from .linalg import canonical_matrix_basis, check_spd, rank_and_kernel
+from .linalg import check_spd, rank_and_kernel
 
 METRIC_NU = "g_nu"
 METRIC_MU_NU = "g_mu_nu"
@@ -310,41 +316,44 @@ def metric_from_table(
     return InnerProduct(g, METRIC_MU_NU, {"mu": mu, "nu": nu}, snapped)
 
 
-def _skew_operator(s: np.ndarray) -> np.ndarray:
-    """vec(M^T S + S M) as a 9x9 linear operator on vec(M), row-major, per form of a stack.
+#: A basis of so(3), orthonormal for the Frobenius inner product:
+#: SO3_BASIS[k] rotates the plane of the two axes other than e_k.
+SO3_BASIS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+]) / math.sqrt(2.0)
 
-    (M^T S)_ij = sum_k M_ki S_kj and (S M)_ij = sum_k S_ik M_kj.
-    """
-    eye = np.eye(3)
-    op = np.einsum("...kj,li->...ijkl", s, eye) + np.einsum("...ik,lj->...ijkl", s, eye)
-    return op.reshape(s.shape[:-2] + (9, 9))
 
+def skew_algebra(frames: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """so(g) of each metric of a stack, in closed form: one basis (3, 3, 3) per metric.
 
-def skew_algebra(forms: np.ndarray) -> list[np.ndarray]:
-    """Solve M^T S + S M = 0 for each symmetric form S of a stack (n, 3, 3).
-
-    Returns one canonical basis (k, 3, 3) per form.  The solution space of a
-    nondegenerate S is 3-dimensional; a degenerate S (a Ricci form, say) has
-    a larger stabilizer, returned with whatever dimension it has.  Gram
+    The columns of each frame F of ``frames`` (n, 3, 3) are g-orthonormal
+    for the Gram matrix of ``grams`` with the same index, so F^-1 = F^T G and
+    the g-skew matrices are M_k = F E_k F^T G, for E_k in SO3_BASIS.  Gram
     matrices are checked for degeneracy when their metric is built, so no
-    rank of S is decided here.
+    rank is decided here.
     """
-    s = np.asarray(forms, dtype=float)
-    s = 0.5 * (s + np.swapaxes(s, -1, -2))
-    bases = []
-    for op in _skew_operator(s):
-        _, kernel = rank_and_kernel(op)
-        bases.append(canonical_matrix_basis(kernel.reshape(-1, 3, 3)))
-    return bases
+    frames = np.asarray(frames, dtype=float)
+    inverse = np.swapaxes(frames, -1, -2) @ grams
+    return (frames[:, None] @ SO3_BASIS) @ inverse[:, None]
 
 
-def intersect_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection of the spans of two stacks (k, 3, 3) of matrices, canonically re-based."""
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros((0, 3, 3))
-    stacked = np.hstack([a.reshape(len(a), 9).T, -b.reshape(len(b), 9).T])
-    _, kernel = rank_and_kernel(stacked)
-    if len(kernel) == 0:
-        return np.zeros((0, 3, 3))
-    combos = kernel[:, : len(a)] @ a.reshape(len(a), 9)
-    return canonical_matrix_basis(combos.reshape(-1, 3, 3))
+def intersect_skew(algebras: np.ndarray, forms: np.ndarray) -> list[np.ndarray]:
+    """The stabilizer of a symmetric form in so(g), one basis (k, 3, 3) per metric of a stack.
+
+    ``algebras`` (n, 3, 3, 3) holds the bases M_k = F E_k F^-1 of
+    ``skew_algebra``, and ``forms`` (n, 3, 3) each form S written in the
+    same frame F (S = F^T Ric F for a Ricci form).  There, M_k preserves the
+    form when E_k commutes with S, so each metric makes one rank decision:
+    the 9x3 matrix with columns vec(S E_k - E_k S), at the scale max|S|.
+    Its kernel combines the rows of that metric's so(g) basis.
+    """
+    forms = np.asarray(forms, dtype=float)
+    commutators = (forms[:, None] @ SO3_BASIS - SO3_BASIS @ forms[:, None]).reshape(-1, 3, 9)
+    scales = np.max(np.abs(forms), axis=(1, 2))
+    spaces = []
+    for algebra, comm, scale in zip(algebras, commutators, scales):
+        _, kernel = rank_and_kernel(comm.T, scale=float(scale))
+        spaces.append((kernel @ algebra.reshape(3, 9)).reshape(-1, 3, 3))
+    return spaces

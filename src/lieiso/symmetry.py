@@ -63,6 +63,8 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
         raise InternalConsistencyError(f"index of symmetry {index} out of range")
     if a.symmetric and index != 3:
         raise InternalConsistencyError("parallel curvature must give the full index")
+    if a.constant_curvature and index != 3:
+        raise InternalConsistencyError("constant curvature must give the full index")
 
     generator = None
     residual = 0.0

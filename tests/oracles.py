@@ -2,18 +2,24 @@
 
 The group product and inverse in coordinates, left-invariant vector fields,
 the finite-difference sectional curvature, the closed form of the
-0 < c < 1 catalog Gram matrix, and the six-plane sectional-curvature probe
+0 < c < 1 catalog Gram matrix, the six-plane sectional-curvature probe
 that is the reference for the constant-curvature decision of
-``lieiso.isometry.classify_isometry_group``.  They check ``lieiso.groups``,
-``lieiso.metrics`` and ``lieiso.isometry`` from outside; nothing in the
-package calls them.
+``lieiso.isometry.classify_isometry_group``, and the e-frame Singer search
+space (so(g) and the Ricci stabilizer each solved as a 9x9 operator, then
+intersected) with the Singer solve on it, the reference for
+``lieiso.metrics.skew_algebra`` and ``intersect_skew``.  They check
+``lieiso.groups``, ``lieiso.metrics`` and ``lieiso.isometry`` from outside;
+nothing in the package calls them.
 
 Sectional curvature: K(x, y) = <R(x,y) y, x> / (|x|^2 |y|^2 - <x,y>^2).
 """
 
 import numpy as np
 
+from lieiso.curvature import so_action
 from lieiso.groups import left_frame, metric_field, numeric_curvature, phi
+from lieiso.isometry import _normalize_isotropy
+from lieiso.linalg import canonical_matrix_basis, rank_and_kernel
 
 
 def multiply(alg, p, q):
@@ -94,3 +100,76 @@ def constant_sectional(curv, g):
     if spread <= SECTIONAL_TOL * (1.0 + max(abs(v) for v in values)):
         return float(np.mean(values))
     return None
+
+
+def skew_operator(s):
+    """vec(M^T S + S M) as a 9x9 linear operator on vec(M), row-major, per form of a stack.
+
+    (M^T S)_ij = sum_k M_ki S_kj and (S M)_ij = sum_k S_ik M_kj.
+    """
+    eye = np.eye(3)
+    op = np.einsum("...kj,li->...ijkl", s, eye) + np.einsum("...ik,lj->...ijkl", s, eye)
+    return op.reshape(s.shape[:-2] + (9, 9))
+
+
+def skew_algebra(form):
+    """Canonical basis (k, 3, 3) of the solutions of M^T S + S M = 0.
+
+    A nondegenerate S gives a 3-dimensional space; a degenerate one (a Ricci
+    form, say) a larger one.
+    """
+    s = np.asarray(form, dtype=float)
+    s = 0.5 * (s + s.T)
+    _, kernel = rank_and_kernel(skew_operator(s))
+    return canonical_matrix_basis(kernel.reshape(-1, 3, 3))
+
+
+def intersect_skew(a, b):
+    """Intersection of the spans of two stacks (k, 3, 3) of matrices, canonically re-based."""
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros((0, 3, 3))
+    stacked = np.hstack([a.reshape(len(a), 9).T, -b.reshape(len(b), 9).T])
+    _, kernel = rank_and_kernel(stacked)
+    if len(kernel) == 0:
+        return np.zeros((0, 3, 3))
+    combos = kernel[:, : len(a)] @ a.reshape(len(a), 9)
+    return canonical_matrix_basis(combos.reshape(-1, 3, 3))
+
+
+def singer_search_space(gram, ric):
+    """so(g) ∩ so(Ric), each solved in the e-frame."""
+    return intersect_skew(skew_algebra(gram), skew_algebra(ric))
+
+
+def singer_isotropy(gram, tensors, ric):
+    """The Singer solve on the e-frame search space."""
+    return solve_singer(singer_search_space(gram, ric), tensors)
+
+
+def solve_singer(space, tensors):
+    """The isotropy basis within a search space (k, 3, 3), one metric at a time."""
+    if len(space) == 0:
+        return np.zeros((0, 3, 3))
+    blocks = [np.stack([so_action(m, t).ravel() for m in space], axis=1) for t in tensors]
+    scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
+    _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
+    if len(kernel) == 0:
+        return np.zeros((0, 3, 3))
+    return _normalize_isotropy(canonical_matrix_basis(np.einsum("ks,sij->kij", kernel, space)))
+
+
+def span_sine(a, b):
+    """Sine of the largest principal angle between the spans of two stacks (k, 3, 3).
+
+    1.0 when the dimensions differ.
+    """
+    a, b = np.asarray(a, float).reshape(len(a), 9), np.asarray(b, float).reshape(len(b), 9)
+    if len(a) != len(b):
+        return 1.0
+    if len(a) == 0:
+        return 0.0
+    qa, _ = np.linalg.qr(a.T)
+    qb, _ = np.linalg.qr(b.T)
+    # the part of span(b) outside span(a); its norm is the sine, without the
+    # cancellation of sqrt(1 - cos^2)
+    return float(np.linalg.norm(qb - qa @ (qa.T @ qb), 2))

@@ -3,15 +3,15 @@
 These are the one-metric-at-a-time kernels the stacked ones replaced,
 kept verbatim as the bit-for-bit reference for ``tests/test_stacked.py``:
 the ``tensordot`` covariant derivative, the per-basis so(3) action loop,
-the per-form skew-algebra solve, the per-point Ricci spectrum and the
-per-point analysis.
+the per-point so(g) and Ricci stabilizer, the per-point Ricci spectrum and
+the per-point analysis.
 """
 
 import numpy as np
 
 from lieiso.isometry import MetricAnalysis, _normalize_isotropy
 from lieiso.linalg import canonical_matrix_basis, rank_and_kernel
-from lieiso.metrics import intersect_skew
+from lieiso.metrics import SO3_BASIS
 
 
 def levi_civita(alg, g):
@@ -56,22 +56,20 @@ def covariant_derivative(t, conn):
     return out
 
 
-def _skew_operator(s):
-    eye = np.eye(3)
-    return (np.einsum("kj,li->ijkl", s, eye) + np.einsum("ik,lj->ijkl", s, eye)).reshape(9, 9)
+def skew_algebra(linv, gram):
+    frame = linv.T
+    inverse = frame.T @ gram
+    return np.stack([(frame @ e) @ inverse for e in SO3_BASIS])
 
 
-def skew_algebra(form):
-    s = np.asarray(form, dtype=float)
-    s = 0.5 * (s + s.T)
-    _, kernel = rank_and_kernel(_skew_operator(s))
-    return canonical_matrix_basis(kernel.reshape(-1, 3, 3))
+def intersect_skew(algebra, form):
+    comm = np.stack([form @ e - e @ form for e in SO3_BASIS])
+    _, kernel = rank_and_kernel(comm.reshape(3, 9).T, scale=float(np.max(np.abs(form))))
+    return (kernel @ algebra.reshape(3, 9)).reshape(-1, 3, 3)
 
 
-def singer_isotropy(g, tensors, ric):
-    space = skew_algebra(g.coeffs)
-    ric_stab = skew_algebra(ric)
-    space = intersect_skew(space, ric_stab)
+def singer_isotropy(g, linv, sym, tensors):
+    space = intersect_skew(skew_algebra(linv, g.coeffs), sym)
     if len(space) == 0:
         return np.zeros((0, 3, 3))
     blocks = [
@@ -86,13 +84,12 @@ def singer_isotropy(g, tensors, ric):
     return _normalize_isotropy(canonical_matrix_basis(mats))
 
 
-def ricci_spectrum(g, ric):
-    """Eigenvalues (ascending) and g-orthonormal eigenvectors of Ric v = lambda G v."""
+def ricci_frame(g, ric):
+    """L^-1 of G = L L^T, and Ric in the g-orthonormal frame L^-T."""
     l = np.linalg.cholesky(g.coeffs)
     linv = np.linalg.inv(l)
     sym = linv @ ric @ linv.T
-    evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    return evals, linv.T @ evecs
+    return linv, 0.5 * (sym + sym.T)
 
 
 def right_invariant_b(alg, conn, v):
@@ -107,7 +104,8 @@ def analyze_metric(alg, g):
     nabla_r = covariant_derivative(curv, conn)
     nabla2_r = covariant_derivative(nabla_r, conn)
     ric = ricci(curv)
-    evals, axes = ricci_spectrum(g, ric)
+    linv, sym = ricci_frame(g, ric)
+    evals, evecs = np.linalg.eigh(sym)
     return MetricAnalysis(
         alg=alg,
         g=g,
@@ -116,9 +114,9 @@ def analyze_metric(alg, g):
         nabla_r=nabla_r,
         ric=ric,
         ricci_eigenvalues=evals,
-        ricci_axes=axes,
+        ricci_axes=linv.T @ evecs,
         scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
         symmetric=float(np.max(np.abs(nabla_r))) <= 1e-9 * max(1.0, float(np.max(np.abs(curv)))),
-        isotropy=singer_isotropy(g, (curv, nabla_r, nabla2_r), ric),
+        isotropy=singer_isotropy(g, linv, sym, (curv, nabla_r, nabla2_r)),
         right_b=np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)]),
     )

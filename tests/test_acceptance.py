@@ -38,7 +38,6 @@ from lieiso.isometry import (
     classify_isometry_group,
     killing_algebra,
     killing_form,
-    singer_isotropy,
 )
 from lieiso.metrics import metric_from_table, stratum_table
 from lieiso.symmetry import index_of_symmetry, scan_moduli
@@ -101,7 +100,7 @@ def test_accept_02_isotropy_dimensions_and_generator():
             for nu in GRID:
                 g = metric_from_table(alg0, mu=mu, nu=nu)
                 tensors = curvature_derivatives(levi_civita(alg0, g.coeffs), alg0)
-                iso = singer_isotropy(g.coeffs[None], [t[None] for t in tensors], ricci(tensors[0])[None])[0]
+                iso = analyze_metrics(alg0, [g])[0].isotropy
                 assert len(iso) == 1
                 np.testing.assert_allclose(
                     iso[0], goldens.isotropy_generator_c0(mu, nu), atol=1e-9
@@ -125,8 +124,7 @@ def test_accept_02_isotropy_dimensions_and_generator():
         ]
         for alg, kwargs in zero_dim:
             g = metric_from_table(alg, **kwargs)
-            tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
-            iso = singer_isotropy(g.coeffs[None], [t[None] for t in tensors], ricci(tensors[0])[None])[0]
+            iso = analyze_metrics(alg, [g])[0].isotropy
             assert len(iso) == 0, (alg.c, kwargs)
 
 

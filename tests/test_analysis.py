@@ -8,7 +8,7 @@ import pytest
 
 from lieiso.algebra import make_algebra_c, make_algebra_I
 from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
-from lieiso.metrics import metric_from_table, skew_algebra
+from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra
 from lieiso.reports import build_report, stratification_rows, to_json
 from lieiso.symmetry import index_of_symmetry, scan_moduli
 
@@ -128,20 +128,40 @@ def test_shared_analysis_gives_the_same_answers(monkeypatch):
 
 def test_rank_decisions_of_an_isotropy_zero_report(monkeypatch):
     # one decision on the Gram matrix, when the metric is built; the report
-    # solves the skew algebras of the metric and of its Ricci form, their
-    # intersection (empty here, so no Singer solve) and the index
+    # decides the stabilizer of the Ricci form in so(g) (empty here, so no
+    # Singer solve) and the index
     alg = make_algebra_c(4.0)
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
     g = metric_from_table(alg, mu=2.0, nu=1.0)
     assert len(calls) == 1
     report = build_report(alg, g)
     assert report["isometry"]["isotropy_dim"] == 0
-    assert len(calls) == 5
+    assert len(calls) == 3
+
+
+def test_rank_decisions_of_an_isotropic_report(monkeypatch):
+    # the Gram matrix, the Ricci stabilizer (all of so(g) here), the Singer
+    # solve and the index
+    alg = make_algebra_I()
+    calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
+    g = metric_from_table(alg, nu=1.5)
+    report = build_report(alg, g)
+    assert report["isometry"]["isotropy_dim"] == 3
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_skew_algebra_makes_one_rank_decision_per_form(monkeypatch, n):
-    forms = np.stack([np.diag([1.0, 1.0 + k, 2.0]) for k in range(n)])
+    # so(g) comes in closed form with no rank decision; the stabilizer of
+    # each Ricci form in it takes one
+    grams = np.stack([np.diag([1.0, 1.0 + k, 2.0]) for k in range(n)])
+    frames = np.swapaxes(np.linalg.inv(np.linalg.cholesky(grams)), -1, -2)
+    forms = np.stack([np.diag([-1.0, -2.0 - k, -3.0]) for k in range(n)])
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
-    assert [len(b) for b in skew_algebra(forms)] == [3] * n
+    algebras = skew_algebra(frames, grams)
+    assert algebras.shape == (n, 3, 3, 3)
+    assert calls == []
+    assert [len(s) for s in intersect_skew(algebras, forms)] == [1 if k == 1 else 0 for k in range(n)]
     assert len(calls) == n
+
+

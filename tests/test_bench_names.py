@@ -6,8 +6,10 @@ in BENCHMARK.json has no such function.  These tests make a rename or a
 deletion fail here first.
 """
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import pkgutil
 from pathlib import Path
@@ -16,7 +18,8 @@ import pytest
 
 import lieiso
 from lieiso import metrics
-from lieiso.algebra import make_algebra_c
+from lieiso.algebra import make_algebra_c, make_algebra_I
+from lieiso.cli import main
 from lieiso.metrics import metric_from_table
 from lieiso.reports import build_report, stratification_rows
 from lieiso.symmetry import scan_moduli
@@ -55,15 +58,23 @@ def test_public_functions_are_not_generators():
     assert generators == []
 
 
+def _verify_metrics():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--which", "metrics", "--points", "2"]) == 0
+
+
 @pytest.mark.parametrize("op", [
     lambda: build_report(make_algebra_c(4.0), metric_from_table(make_algebra_c(4.0), mu=2.9, nu=1.5)),
+    lambda: build_report(make_algebra_I(), metric_from_table(make_algebra_I(), nu=1.5)),
     lambda: stratification_rows("c", 0.25),
     lambda: scan_moduli("I"),
-], ids=["build_report", "stratification_rows", "scan_moduli"])
+    _verify_metrics,
+], ids=["build_report", "build_report_isotropic", "stratification_rows", "scan_moduli", "verify_metrics"])
 def test_each_workload_reaches_rank_and_kernel_through_metrics(monkeypatch, op):
     # The traced run's self-test unwraps the binding of rank_and_kernel in
     # lieiso.metrics and needs the first operation of every workload to
-    # reach it there.
+    # reach it there: intersect_skew decides the Ricci stabilizer of every
+    # metric through that binding.
     calls = []
     original = metrics.rank_and_kernel
 

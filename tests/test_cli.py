@@ -170,8 +170,8 @@ def test_family_c_without_c_is_a_usage_error(capsys, argv):
         ("table", "0.999999999", 3, "symmetric form is degenerate (rank 1)"),
         ("scan", "-1e-9", 3, "symmetric form is degenerate (rank 2)"),
         ("table", "-1e-9", 3, "symmetric form is degenerate (rank 2)"),
-        ("scan", "1e8", 1, "symmetry certificate residual 3.725e-09 too large"),
-        ("table", "1e8", 1, "symmetry certificate residual 3.725e-09 too large"),
+        ("scan", "1e8", 1, "constant curvature must give the full index"),
+        ("table", "1e8", 1, "constant curvature must give the full index"),
         ("scan", "1.000000001", 3, "symmetric form is degenerate (rank 2)"),
         ("table", "1.000000001", 3, "symmetric form is degenerate (rank 2)"),
         ("table", "1.0001", 3, "symmetric form is degenerate (rank 2)"),
@@ -241,6 +241,14 @@ def test_non_finite_input_is_rejected(capsys, argv, code):
          1, "a symmetric metric cannot have trivial isotropy here"),
         (["--c", "2", "--gram", "1", "1.000000001", "0", "1.000000001", "2", "0", "0", "0", "0.3"],
          0, "TranslationsOnly"),
+        # the Ricci spectrum has three distinct eigenvalues here; an e-frame
+        # search space once found an isotropy that did not close
+        (["--c", "2", "--gram", "1", "1.000000002", "0", "1.000000002", "2", "0", "0", "0", "0.3"],
+         0, "TranslationsOnly"),
+        # the Ricci spread is within RICCI_TOL, but the Singer rank finds no
+        # isotropy; once printed a constant curvature beside TranslationsOnly
+        (["--c", "2", "--gram", "1", "1.0000000002", "0", "1.0000000002", "2", "0", "0", "0", "0.3"],
+         1, "constant curvature must give the full index"),
     ],
 )
 def test_outcomes_next_to_an_so31_line(capsys, argv, code, outcome):
@@ -274,20 +282,20 @@ def test_no_constant_curvature_from_curvatures_near_zero(capsys):
          "Killing algebra does not close on its generators (residual 5.960e-08)"),
         (["--c", "0", "--mu", "1e-6", "--nu", "1"], 1, "index of symmetry 2 is impossible in this family"),
         (["--c", "0", "--mu", "1e-5", "--nu", "1"], 1, "index of symmetry 2 is impossible in this family"),
-        (["--c", "0", "--mu", "1e4", "--nu", "1"], 1,
-         "Killing algebra does not close on its generators (residual 3.743e-06)"),
-        (["--c", "0", "--mu", "1e8", "--nu", "1"], 1,
-         "Killing algebra does not close on its generators (residual 7.073e-02)"),
+        (["--c", "0", "--mu", "1e4", "--nu", "1e8"], 1,
+         "Killing algebra does not close on its generators (residual 2.980e-08)"),
+        (["--c", "0", "--mu", "1e8", "--nu", "1e8"], 1,
+         "Killing algebra does not close on its generators (residual 8.941e-08)"),
         # nu is only a homothety, yet extreme nu fails
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e-9"], 3, "symmetric form is degenerate (rank 2)"),
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e-7"], 1, "symmetry certificate residual 3.725e-09 too large"),
-        (["--c", "0.25", "--mu", "0.5", "--nu", "1e8"], 1,
-         "Killing algebra does not close on its generators (residual 3.669e+08)"),
-        (["--c", "0.25", "--mu", "0.5", "--nu", "1e9"], 3, "symmetric form is degenerate (rank 2)"),
-        (["--c=-2", "--mu", "1e-5", "--nu", "1"], 1,
-         "Killing algebra does not close on its generators (residual 2.000e+00)"),
-        (["--family", "I", "--nu", "1e8"], 1,
+        (["--c", "0.6", "--mu", "0.5", "--nu", "1e-8"], 1,
          "Killing algebra does not close on its generators (residual 2.980e-08)"),
+        (["--c", "0.25", "--mu", "0.5", "--nu", "1e9"], 3, "symmetric form is degenerate (rank 2)"),
+        (["--c=-2", "--mu", "2e-6", "--nu", "1e-8"], 1,
+         "Killing algebra does not close on its generators (residual 1.363e-02)"),
+        (["--family", "I", "--nu", "1e8"], 1,
+         "Killing algebra does not close on its generators (residual 1.490e-08)"),
         # the branch points c -> 0 and c -> 1
         (["--c", "1e-6", "--mu", "0.5", "--nu", "1"], 3, "symmetric form is degenerate (rank 1)"),
         (["--c", "0.999999999", "--mu", "0.9999999995", "--nu", "1"], 3, "Gram matrix is not symmetric"),
@@ -307,6 +315,26 @@ def test_outcomes_of_in_range_inputs_that_still_fail(capsys, argv, code, error):
     assert got == code
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,tag,index",
+    [
+        (["--c", "0", "--mu", "1e4", "--nu", "1"], "Product_SO2", 1),
+        (["--c", "0", "--mu", "1e6", "--nu", "1"], "Product_SO2", 1),
+        (["--c", "0", "--mu", "1e8", "--nu", "1"], "Product_SO2", 1),
+        (["--c", "0.25", "--mu", "0.5", "--nu", "1e8"], "TranslationsOnly", 1),
+        (["--c=-2", "--mu", "1e-5", "--nu", "1"], "TranslationsOnly", 0),
+    ],
+)
+def test_outcomes_of_in_range_inputs_that_once_failed(capsys, argv, tag, index):
+    # These failed the Killing closure check while the Singer search space
+    # was solved in the e-frame; each classifies as its stratum says.
+    got, out, err = run_cli(capsys, "classify", "--json", "--family", "c", *argv)
+    assert got == 0 and err == ""
+    report = json.loads(out)
+    assert report["isometry"]["group_tag"] == tag
+    assert report["symmetry"]["index"] == index
 
 
 def test_exit_code_for_unwritable_output(capsys):
@@ -423,12 +451,12 @@ def test_verify_passes(capsys):
     assert all(line.startswith("ok") for line in lines[:-1])
 
 
-@pytest.mark.parametrize("mu", ["1e-8", "1e6"])
-def test_internal_consistency_failure_is_reported_cleanly(capsys, mu):
+@pytest.mark.parametrize("mu,nu", [("1e-8", "1"), ("1e8", "1e8")], ids=["1e-8", "1e8"])
+def test_internal_consistency_failure_is_reported_cleanly(capsys, mu, nu):
     # These in-range inputs still fail the Killing closure check; the CLI
     # reports the failure as an error line with exit 1, not a traceback.
     code, out, err = run_cli(capsys, "classify", "--family", "c", "--c", "0",
-                             "--mu", mu, "--nu", "1")
+                             "--mu", mu, "--nu", nu)
     assert code == 1
     assert out == ""
     assert err.startswith("error: Killing algebra does not close")

@@ -1,0 +1,79 @@
+"""Catalog inputs over the decades 1e-8 ... 1e8 classify right or fail honestly.
+
+At c = -2, 0, 0.25 and 4, mu and nu run over the decades (mu as the
+distance from the lower end of its range where that end is not 0, plus the
+boundary lines).  Every input whose metric builds must either classify to
+the (isometry group, index of symmetry) that the paper's table gives its
+stratum, or raise a LieIsoError; none may print a wrong answer.
+"""
+
+import pytest
+
+from lieiso.algebra import make_algebra_c
+from lieiso.errors import LieIsoError
+from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
+from lieiso.metrics import metric_from_table, stratum_table
+from lieiso.symmetry import index_of_symmetry
+
+DECADES = [10.0 ** k for k in range(-8, 9)]
+
+#: (isometry group, index of symmetry) of each stratum, from the paper's table.
+EXPECTED = {
+    "c<0:mu<|c|": ("TranslationsOnly", 0),
+    "c<0:mu=|c|": ("TranslationsOnly", 1),
+    "c=0:g_mu_nu": ("Product_SO2", 1),
+    "c=0:g_nu": ("E1_x_SO21", 3),
+    "0<c<1:mu=0": ("TranslationsOnly", 1),
+    "0<c<1:mu generic": ("TranslationsOnly", 0),
+    "0<c<1:mu=sqrt(c)": ("TranslationsOnly", 1),
+    "c>1:mu generic": ("TranslationsOnly", 0),
+    "c>1:mu special": ("TranslationsOnly", 1),
+    "c>1:mu=c": ("SO31", 3),
+}
+
+MU = {
+    -2.0: [2.0 * d for d in DECADES if d <= 1.0],
+    0.0: DECADES,
+    0.25: [0.0, 0.5] + [d for d in DECADES if d < 1.0],
+    4.0: [2.0] + [1.0 + 3.0 * d for d in DECADES if d <= 1.0],
+}
+
+
+def _params(c):
+    params = [{"mu": mu, "nu": nu} for mu in MU[c] for nu in DECADES]
+    if c == 0.0:
+        params += [{"nu": nu} for nu in DECADES]
+    return params
+
+
+def _outcome(a):
+    try:
+        tag = classify_isometry_group(a).group_tag.value
+        killing_algebra(a)
+        return tag, index_of_symmetry(a).index
+    except LieIsoError:
+        return None
+
+
+@pytest.mark.parametrize("c", sorted(MU))
+def test_decade_sweep_classifies_right_or_raises(c):
+    alg = make_algebra_c(c)
+    table = stratum_table("c", c)
+    gs = []
+    for params in _params(c):
+        try:
+            gs.append(metric_from_table(alg, **params))
+        except LieIsoError:
+            pass  # a Gram matrix singular at the rank cutoff is rejected when built
+    assert len(gs) > len(_params(c)) // 2
+    wrong = []
+    classified = 0
+    for g, a in zip(gs, analyze_metrics(alg, gs)):
+        got = _outcome(a)
+        classified += got is not None
+        want = EXPECTED[table.locate(g).key]
+        if got is not None and got != want:
+            wrong.append((g.params, got, want))
+    assert wrong == []
+    # most of the sweep classifies; the rest fails at extreme scales (ROADMAP item 2)
+    assert classified >= 0.5 * len(gs)

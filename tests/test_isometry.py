@@ -3,7 +3,7 @@ import pytest
 
 import goldens
 from lieiso.algebra import make_algebra_I, make_algebra_c
-from lieiso.curvature import curvature, curvature_derivatives, levi_civita, ricci, scalar_curvature, so_action
+from lieiso.curvature import curvature, curvature_derivatives, levi_civita, ricci, scalar_curvature
 from lieiso.isometry import (
     CLOSURE_TOL,
     IsometryGroupTag,
@@ -14,18 +14,15 @@ from lieiso.isometry import (
     killing_bracket,
     killing_form,
     right_invariant_b,
-    _normalize_isotropy,
-    singer_isotropy,
 )
-from lieiso.linalg import canonical_matrix_basis, rank_and_kernel
 from lieiso.metrics import inner_product_from_gram, metric_from_table, skew_algebra
+from oracles import solve_singer
 
 GRID = [0.5, 1.0, 2.0]
 
 
 def _isotropy(alg, g):
-    tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
-    return singer_isotropy(g.coeffs[None], [t[None] for t in tensors], ricci(tensors[0])[None])[0]
+    return analyze_metrics(alg, [g])[0].isotropy
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -78,13 +75,8 @@ def test_full_isotropy_for_hyperbolic_metrics(nu):
 def _singer_without_prefilter(alg, g):
     """The Singer solve on the whole metric-skew algebra, with no Ricci prefilter."""
     tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
-    space = skew_algebra(g.coeffs[None])[0]
-    blocks = [np.stack([so_action(m, t).ravel() for m in space], axis=1) for t in tensors]
-    scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
-    _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
-    if len(kernel) == 0:
-        return np.zeros((0, 3, 3))
-    return _normalize_isotropy(canonical_matrix_basis(np.einsum("ks,sij->kij", kernel, space)))
+    frame = np.linalg.inv(np.linalg.cholesky(g.coeffs)).T
+    return solve_singer(skew_algebra(frame[None], g.coeffs[None])[0], tensors)
 
 
 def test_ricci_prefilter_does_not_change_the_answer():

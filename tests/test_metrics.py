@@ -9,8 +9,8 @@ from lieiso.metrics import (
     METRIC_LAMBDA_NU,
     METRIC_MU_NU,
     METRIC_NU,
-    _skew_operator,
     inner_product_from_gram,
+    intersect_skew,
     metric_from_table,
     skew_algebra,
     snap_parameters,
@@ -157,37 +157,43 @@ def test_non_symmetric_gram_rejected():
         )
 
 
+def _so_g(gram):
+    """so(g) of one Gram matrix, from its Cholesky frame."""
+    frame = np.linalg.inv(np.linalg.cholesky(gram)).T
+    return skew_algebra(frame[None], gram[None])[0]
+
+
 def test_skew_algebra_of_diagonal_form():
-    # For diag(1, mu, nu) the compatible skew operators form a
-    # three-dimensional space with a canonical echelon basis.
+    # For diag(1, mu, nu) the compatible skew operators span the same
+    # three-dimensional space as this echelon basis.
     mu, nu = 2.0, 0.5
-    space = skew_algebra(np.diag([1.0, mu, nu])[None])[0]
-    assert len(space) == 3
-    want = [
-        np.array([[0.0, -mu, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        np.array([[0.0, 0.0, -nu], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -nu / mu], [0.0, 1.0, 0.0]]),
-    ]
-    for got, expect in zip(space, want):
-        np.testing.assert_allclose(got, expect, atol=1e-12)
+    space = _so_g(np.diag([1.0, mu, nu]))
+    assert space.shape == (3, 3, 3)
+    want = np.array([
+        [[0.0, -mu, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, -nu], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, -nu / mu], [0.0, 1.0, 0.0]],
+    ])
+    assert oracles.span_sine(space, want) <= 1e-15
 
 
 def test_skew_algebra_members_annihilate_the_form():
     gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
-    space = skew_algebra(gram[None])[0]
+    space = _so_g(gram)
     assert len(space) == 3
     for a in space:
         np.testing.assert_allclose(a.T @ gram + gram @ a, np.zeros((3, 3)), atol=1e-10)
+    assert oracles.span_sine(space, oracles.skew_algebra(gram)) <= 1e-12
 
 
 def test_skew_algebra_degenerate_form():
     # a Gram matrix singular at the rank cutoff is rejected when the metric
-    # is built; the solver itself takes degenerate forms such as Ricci forms
+    # is built; the e-frame reference takes degenerate forms such as Ricci forms
     with pytest.raises(DegenerateFormError, match="rank 2"):
         inner_product_from_gram(np.diag([1.0, 1.0, 1e-10]))
     with pytest.raises(DegenerateFormError, match="rank 2"):
         metric_from_table(make_algebra_c(0.25), mu=0.5, nu=1e-9)
-    space = skew_algebra(np.diag([1.0, 1.0, 0.0])[None])[0]
+    space = oracles.skew_algebra(np.diag([1.0, 1.0, 0.0]))
     assert len(space) == 4  # degenerate forms have a larger stabilizer
 
 
@@ -196,10 +202,32 @@ def test_skew_algebra_degenerate_form():
 def test_skew_algebra_dimension_three_for_random_spd(entries):
     a = np.array(entries).reshape(3, 3)
     gram = a.T @ a + 0.5 * np.eye(3)
-    space = skew_algebra(gram[None])[0]
+    space = _so_g(gram)
     assert len(space) == 3
     for m in space:
         np.testing.assert_allclose(m.T @ gram + gram @ m, np.zeros((3, 3)), atol=1e-8)
+    assert len(oracles.skew_algebra(gram)) == 3
+
+
+@pytest.mark.parametrize("spectrum,dim", [
+    ((1.0, 2.0, 3.0), 0), ((-2.0, -2.0, 5.0), 1), ((0.0, -1.0, -1.0), 1), ((-4.0, -4.0, -4.0), 3),
+])
+def test_stabilizer_dimension_follows_the_eigenvalue_multiplicities(spectrum, dim):
+    # a form with these eigenvalues in a random g-orthonormal frame
+    rng = np.random.default_rng(5)
+    gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
+    frame = np.linalg.inv(np.linalg.cholesky(gram)).T
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    form = q @ np.diag(spectrum) @ q.T
+    space = intersect_skew(skew_algebra(frame[None], gram[None]), form[None])[0]
+    assert len(space) == dim
+    # the same space as so(g) ∩ so(Ric), with Ric = F^-T S F^-1 in the e-frame
+    finv = frame.T @ gram
+    ric = finv.T @ form @ finv
+    want = oracles.singer_search_space(gram, ric)
+    assert len(want) == dim
+    if dim:
+        assert oracles.span_sine(space, want) <= 1e-12
 
 
 def test_snap_tries_the_singular_line_first():
@@ -243,6 +271,6 @@ def test_skew_operator_matches_the_loop():
         a = rng.normal(size=(3, 3)) * rng.integers(0, 2, size=(3, 3))
         forms.append(0.5 * (a + a.T))
     for s in forms:
-        want, got = _skew_operator_loop(s), _skew_operator(s)
+        want, got = _skew_operator_loop(s), oracles.skew_operator(s)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

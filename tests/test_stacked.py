@@ -4,7 +4,9 @@
 field of every MetricAnalysis is compared with ``np.array_equal`` and with
 equal sign bits, so that a zero of the other sign counts as a difference.
 The constant-curvature decision read off the stacked Ricci spectrum is also
-checked, on the same scan points, against the six-plane probe of ``oracles``.
+checked, on the same scan points, against the six-plane probe of ``oracles``,
+and the Singer search space decided in the g-orthonormal frame against the
+e-frame intersection so(g) ∩ so(Ric) of ``oracles``.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ from lieiso.cli import DEFAULT_GROUPS
 from lieiso.curvature import covariant_derivative, curvature, levi_civita, so_action
 from lieiso.errors import DegenerateFormError, RangeError
 from lieiso.isometry import analyze_metrics, classify_isometry_group
-from lieiso.metrics import metric_from_table
+from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra
 from lieiso.symmetry import analyze_catalog_points, scan_moduli
-from oracles import constant_sectional
+from oracles import constant_sectional, singer_isotropy, singer_search_space, span_sine
 
 GROUPS = DEFAULT_GROUPS + [(FAMILY_C, -0.7), (FAMILY_C, 0.81), (FAMILY_C, 5.5)]
 FIELDS = ("conn", "curv", "nabla_r", "ric", "ricci_eigenvalues", "ricci_axes", "scalar",
@@ -65,6 +67,29 @@ def test_ricci_spectrum_decides_constant_curvature_as_the_six_probes_do(family, 
         if got is not None:
             assert abs(got - want) <= 1e-15 * abs(want), f"{family} c={c} point {n}"
             assert got == a.scalar / 6.0, f"{family} c={c} point {n}"
+
+
+def test_scan_points_of_the_groups():
+    assert sum(len(_scan_metrics(family, c)[1]) for family, c in GROUPS) == 330
+
+
+@pytest.mark.parametrize("family,c", GROUPS)
+def test_search_space_agrees_with_the_e_frame_intersection(family, c):
+    alg, gs = _scan_metrics(family, c)
+    grams = np.stack([g.coeffs for g in gs])
+    linv = np.linalg.inv(np.linalg.cholesky(grams))
+    frames = np.swapaxes(linv, -1, -2)
+    analyses = analyze_metrics(alg, gs)
+    forms = linv @ np.stack([a.ric for a in analyses]) @ frames
+    forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
+    spaces = intersect_skew(skew_algebra(frames, grams), forms)
+    for n, (g, a, space) in enumerate(zip(gs, analyses, spaces)):
+        label = f"{family} c={c} point {n}"
+        want = singer_search_space(g.coeffs, a.ric)
+        assert len(space) == len(want), label
+        assert span_sine(space, want) <= 1e-9, label
+        tensors = (a.curv, a.nabla_r, perpoint.covariant_derivative(a.nabla_r, a.conn))
+        assert len(a.isotropy) == len(singer_isotropy(g.coeffs, tensors, a.ric)), label
 
 
 @pytest.mark.parametrize("family,c", GROUPS)
