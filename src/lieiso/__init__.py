@@ -5,9 +5,10 @@ The family consists of the non-unimodular solvable groups whose defining
 2x2 block has trace 2: a single exceptional group (family ``I``) and a
 one-parameter pencil indexed by the block determinant ``c`` (family ``c``).
 For each group the package builds the catalog of left-invariant metrics up
-to isometric automorphism, computes their curvature, classifies the full
-isometry group, and computes the index of symmetry, entirely from structure
-constants (with finite-difference cross-checks on the group model).
+to isometric automorphism, computes their curvature, classifies the
+identity component of the isometry group (not the full group), and
+computes the index of symmetry, entirely from structure constants (with
+finite-difference cross-checks on the group model).
 """
 
 from .algebra import (

@@ -158,6 +158,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         _emit(rows_to_csv(scan_point_rows(result), SCAN_COLUMNS), args.out)
     else:
         _emit(to_json({"summary": scan_summary(result), "points": scan_point_rows(result)}), args.out)
+    if not result.passed:
+        print("error: the singular-locus audit of the scan failed", file=sys.stderr)
+        return 1
     return 0
 
 

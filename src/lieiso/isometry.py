@@ -15,9 +15,11 @@ Killing fields have v = 0 and B solving the Singer conditions
     B . R = 0,  B . (nabla R) = 0,  B . (nabla^2 R) = 0,
 
 which in dimension 3 (where n(n-1)/2 = 3) already certify integrability.
-Every solution B stabilizes the Ricci form, so the conditions are solved on
-that stabilizer in so(g), decided in the g-orthonormal Cholesky frame in
-which ``analyze_metrics`` also reads the Ricci spectrum.
+Every solution B stabilizes the Ricci form.  In dimension 3, R is fixed by
+Ric and g, and that stabilizer in so(g) has dimension 0, 1 or 3; the
+isotropy is all of it or none of it, so one residual test per metric keeps
+or drops it.  The stabilizer is decided in the g-orthonormal frame in which
+``analyze_metrics`` reads the Ricci spectrum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .curvature import curvature_derivatives, levi_civita, ricci, scalar_curvature, so_action
 from .errors import InternalConsistencyError, UnsupportedFamilyError
-from .linalg import rank_and_kernel, canonical_matrix_basis
+from .linalg import RANK_TOL, canonical_matrix_basis
 from .metrics import InnerProduct, intersect_skew, skew_algebra
 
 #: Tolerance for re-projecting Killing brackets onto the generator basis.
@@ -39,6 +41,9 @@ CLOSURE_TOL = 1e-8
 #: Relative tolerance of the Ricci-spectrum decisions: eigenvalues within
 #: RICCI_TOL * max|lambda| of each other (or of zero) count as equal (or zero).
 RICCI_TOL = 1e-9
+
+#: The curvature is parallel when max|nabla R| <= PARALLEL_TOL * max(1, max|R|).
+PARALLEL_TOL = 1e-9
 
 
 class IsometryGroupTag(str, Enum):
@@ -97,45 +102,33 @@ def singer_isotropy(
 ) -> list[np.ndarray]:
     """Basis (k, 3, 3) of the isotropy algebra of each metric of a stack, canonically normalized.
 
-    Solves the Singer conditions for the Gram matrices ``grams`` (n, 3, 3),
-    given g-orthonormal ``frames`` F, the Ricci forms in those frames as
-    ``forms`` (F^T Ric F) and the stacked (R, nabla R, nabla^2 R) as
-    ``tensors``, all with the same leading axis.  The search space is the
-    stabilizer of the Ricci form in so(g), which contains every solution
-    since Ricci is a curvature contraction: ``skew_algebra`` gives so(g) in
-    closed form and ``intersect_skew`` decides the stabilizer with one rank
-    decision per metric.  The so(3) action is applied once per tensor for
-    every search-space matrix of the stack; each metric keeps its own rank
-    decision.
+    ``grams`` (n, 3, 3) are the Gram matrices, ``frames`` g-orthonormal
+    frames F, ``forms`` the Ricci forms F^T Ric F and ``tensors`` the stacked
+    (R, nabla R, nabla^2 R), all with the same leading axis.  ``skew_algebra``
+    gives so(g) in closed form and ``intersect_skew`` the stabilizer of the
+    Ricci form in it, with one rank decision per metric.  That stabilizer is
+    kept whole when the largest singular value of its action on the three
+    tensors is at most RANK_TOL * max|T| * max|stabilizer entry|, and
+    dropped otherwise.  The so(3) action runs once per tensor for the stack.
     """
     spaces = intersect_skew(skew_algebra(frames, grams), forms)
-    # every (metric, search-space matrix) pair of the stack, acted on each tensor
+    # every (metric, stabilizer matrix) pair of the stack, acted on each tensor
     owner = [n for n, space in enumerate(spaces) for _ in space]
-    acted = [so_action(np.concatenate(spaces), t[owner]).reshape(len(owner), -1)
-             for t in tensors] if owner else []
+    acted = np.hstack([so_action(np.concatenate(spaces), t[owner]).reshape(len(owner), -1)
+                       for t in tensors]) if owner else None
     isotropy, first = [], 0
     for n, space in enumerate(spaces):
         rows = slice(first, first + len(space))
         first = rows.stop
-        isotropy.append(_solve_singer(space, [t[n] for t in tensors], [a[rows] for a in acted]))
+        isotropy.append(np.zeros((0, 3, 3)))
+        if len(space) == 0:
+            continue
+        # the natural scale of the residual system: basis size times tensor
+        # size (for a symmetric space the whole system is rounding noise)
+        scale = max(float(np.max(np.abs(t[n]))) for t in tensors) * float(np.max(np.abs(space)))
+        if np.linalg.norm(acted[rows], 2) <= RANK_TOL * scale:
+            isotropy[n] = _normalize_isotropy(canonical_matrix_basis(space))
     return isotropy
-
-
-def _solve_singer(space: np.ndarray, tensors: list[np.ndarray], acted: list[np.ndarray]) -> np.ndarray:
-    """The isotropy basis of one metric from its search space and, per
-    tensor, the action of each search-space matrix on it (one row each)."""
-    if len(space) == 0:
-        return np.zeros((0, 3, 3))
-    # constraint matrix: one column per basis coefficient, rows stack the
-    # entries of basis_mat . R, basis_mat . (nabla R), basis_mat . (nabla^2 R);
-    # the natural scale of the residual system: basis size times tensor size
-    # (for a symmetric space the whole matrix is rounding noise)
-    scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
-    _, kernel = rank_and_kernel(np.vstack([a.T for a in acted]), scale=scale)
-    if len(kernel) == 0:
-        return np.zeros((0, 3, 3))
-    mats = np.einsum("ks,sij->kij", kernel, space)
-    return _normalize_isotropy(canonical_matrix_basis(mats))
 
 
 def _normalize_isotropy(mats: np.ndarray) -> np.ndarray:
@@ -154,8 +147,8 @@ def _normalize_isotropy(mats: np.ndarray) -> np.ndarray:
 class MetricAnalysis:
     """The data every classifier reads, computed once per metric.
 
-    ``symmetric`` is the one parallel-curvature decision (nabla R = 0 relative
-    to the size of R); ``ricci_eigenvalues`` (ascending) and ``ricci_axes``
+    ``symmetric`` is the one parallel-curvature decision (nabla R = 0 at
+    PARALLEL_TOL); ``ricci_eigenvalues`` (ascending) and ``ricci_axes``
     (columns: g-orthonormal eigenvectors in the e-frame) are the spectrum of
     Ric relative to g, and ``scalar`` its trace; ``isotropy`` is the Singer
     isotropy basis (k, 3, 3); ``right_b[i]`` is the derivative B of the
@@ -189,7 +182,7 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     The Gram matrices of ``gs`` are stacked and each kernel runs once for the
     whole stack; the result holds one MetricAnalysis per metric, in order,
     each equal bit for bit to the analysis of that metric in a stack of one.
-    nabla^2 R enters the Singer solve only and is not kept.
+    nabla^2 R enters the Singer residual test only and is not kept.
     """
     grams = np.stack([g.coeffs for g in gs])
     conn = levi_civita(alg, grams)
@@ -219,7 +212,7 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
             ricci_eigenvalues=evals[n],
             ricci_axes=axes[n],
             scalar=float(scalar[n]),
-            symmetric=float(np.max(np.abs(dr))) <= 1e-9 * max(1.0, float(np.max(np.abs(r)))),
+            symmetric=float(np.max(np.abs(dr))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(r)))),
             isotropy=isotropy[n],
             right_b=right_b[n],
         ))

@@ -2,10 +2,9 @@
 
 Every rank decision in the package funnels through :func:`rank_and_kernel`,
 which applies the one relative cutoff ``RANK_TOL``.  A classify report makes
-three or four: the Gram matrix when its metric is built, the stabilizer of
-the Ricci form in so(g), the Singer solve when that stabilizer is not
-empty, and the index of symmetry.  :func:`canonical_matrix_basis` reduces
-only the isotropy basis the Singer solve finds.
+three: the Gram matrix when its metric is built, the stabilizer of the
+Ricci form in so(g), and the index of symmetry.  :func:`canonical_matrix_basis`
+reduces only the isotropy basis the Singer residual test keeps.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ def rank_and_kernel(m: np.ndarray, *, scale: float | None = None) -> tuple[int, 
     rank 0 and full kernel.
 
     The SVD is thin when ``m`` has at least as many rows as columns: ``vt``
-    is then square and already spans the whole null space, and the large
-    ``U`` of a tall matrix (such as the stacked Singer constraints) is never
-    built.  A wide matrix gets the full SVD, because its thin ``vt`` would
-    drop null vectors.
+    is then square and already spans the whole null space, and the ``U`` of
+    a tall matrix (such as the 9x3 commutators of the Ricci stabilizer) is
+    built thin.  A wide matrix gets the full SVD, because its thin ``vt``
+    would drop null vectors.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     ncols = m.shape[1]

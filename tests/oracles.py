@@ -147,7 +147,11 @@ def singer_isotropy(gram, tensors, ric):
 
 
 def solve_singer(space, tensors):
-    """The isotropy basis within a search space (k, 3, 3), one metric at a time."""
+    """The isotropy basis within a search space (k, 3, 3), one metric at a time.
+
+    The SVD rank-and-kernel solve of the stacked Singer system; the reference
+    for the isotropy dimension that the engine's residual test decides.
+    """
     if len(space) == 0:
         return np.zeros((0, 3, 3))
     blocks = [np.stack([so_action(m, t).ravel() for m in space], axis=1) for t in tensors]

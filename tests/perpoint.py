@@ -3,14 +3,14 @@
 These are the one-metric-at-a-time kernels the stacked ones replaced,
 kept verbatim as the bit-for-bit reference for ``tests/test_stacked.py``:
 the ``tensordot`` covariant derivative, the per-basis so(3) action loop,
-the per-point so(g) and Ricci stabilizer, the per-point Ricci spectrum and
-the per-point analysis.
+the per-point so(g) and Ricci stabilizer, the per-point Singer residual
+test, the per-point Ricci spectrum and the per-point analysis.
 """
 
 import numpy as np
 
-from lieiso.isometry import MetricAnalysis, _normalize_isotropy
-from lieiso.linalg import canonical_matrix_basis, rank_and_kernel
+from lieiso.isometry import PARALLEL_TOL, MetricAnalysis, _normalize_isotropy
+from lieiso.linalg import RANK_TOL, canonical_matrix_basis, rank_and_kernel
 from lieiso.metrics import SO3_BASIS
 
 
@@ -77,11 +77,9 @@ def singer_isotropy(g, linv, sym, tensors):
         for t in tensors
     ]
     scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
-    _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
-    if len(kernel) == 0:
+    if np.linalg.norm(np.vstack(blocks).T, 2) > RANK_TOL * scale:
         return np.zeros((0, 3, 3))
-    mats = np.einsum("ks,sij->kij", kernel, space)
-    return _normalize_isotropy(canonical_matrix_basis(mats))
+    return _normalize_isotropy(canonical_matrix_basis(space))
 
 
 def ricci_frame(g, ric):
@@ -116,7 +114,7 @@ def analyze_metric(alg, g):
         ricci_eigenvalues=evals,
         ricci_axes=linv.T @ evecs,
         scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
-        symmetric=float(np.max(np.abs(nabla_r))) <= 1e-9 * max(1.0, float(np.max(np.abs(curv)))),
+        symmetric=float(np.max(np.abs(nabla_r))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(curv)))),
         isotropy=singer_isotropy(g, linv, sym, (curv, nabla_r, nabla2_r)),
         right_b=np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)]),
     )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import lieiso
 from lieiso.cli import DEFAULT_GROUPS, build_parser, main
 from lieiso.reports import SCAN_COLUMNS, TABLE_COLUMNS
+from lieiso.symmetry import scan_moduli
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +307,9 @@ def test_no_constant_curvature_from_curvatures_near_zero(capsys):
          "symmetric form is degenerate (rank 2)"),
         (["--c", "0", "--gram", "1", "0", "0", "0", "1e-10", "0", "0", "0", "1"], 3,
          "symmetric form is degenerate (rank 2)"),
+        # the SO(3,1) line at nu = 1e7: the absolute CERTIFICATE_TOL against
+        # isotropy entries of about 1.3e7 (nu = 1e8 fails the closure)
+        (["--c", "4", "--mu", "4", "--nu", "1e7"], 1, "symmetry certificate residual 2.224e-09 too large"),
     ],
 )
 def test_outcomes_of_in_range_inputs_that_still_fail(capsys, argv, code, error):
@@ -431,6 +436,21 @@ def test_scan_json_and_csv(capsys, tmp_path):
     rows = list(csv.DictReader(target.open()))
     assert list(rows[0].keys()) == SCAN_COLUMNS
     assert len(rows) == len(payload["points"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_exits_1_when_its_audit_fails(capsys, monkeypatch, fmt):
+    # the output is written as for a passing scan, then the exit code says
+    # that the verification failed
+    failed = dataclasses.replace(scan_moduli("c", 0.25, grid_mu=5), containment_ok=False)
+    monkeypatch.setattr(lieiso.cli, "scan_moduli", lambda *args, **kwargs: failed)
+    code, out, err = run_cli(capsys, "scan", "--family", "c", "--c", "0.25", "--format", fmt)
+    assert code == 1
+    assert err == "error: the singular-locus audit of the scan failed\n"
+    if fmt == "json":
+        assert json.loads(out)["summary"]["passed"] is False
+    else:
+        assert len(list(csv.DictReader(io.StringIO(out)))) == len(failed.points)
 
 
 def test_scan_grid_flags(capsys):

@@ -4,16 +4,21 @@ At c = -2, 0, 0.25 and 4, mu and nu run over the decades (mu as the
 distance from the lower end of its range where that end is not 0, plus the
 boundary lines).  Every input whose metric builds must either classify to
 the (isometry group, index of symmetry) that the paper's table gives its
-stratum, or raise a LieIsoError; none may print a wrong answer.
+stratum, or raise a LieIsoError; none may print a wrong answer.  Its
+isotropy must have the dimension that the SVD solve of ``oracles`` finds on
+the same Ricci stabilizer.
 """
 
+import numpy as np
 import pytest
 
 from lieiso.algebra import make_algebra_c
+from lieiso.curvature import curvature_derivatives, levi_civita
 from lieiso.errors import LieIsoError
 from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
-from lieiso.metrics import metric_from_table, stratum_table
+from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra, stratum_table
 from lieiso.symmetry import index_of_symmetry
+from oracles import solve_singer
 
 DECADES = [10.0 ** k for k in range(-8, 9)]
 
@@ -46,6 +51,17 @@ def _params(c):
     return params
 
 
+def _metrics(alg, c):
+    gs = []
+    for params in _params(c):
+        try:
+            gs.append(metric_from_table(alg, **params))
+        except LieIsoError:
+            pass  # a Gram matrix singular at the rank cutoff is rejected when built
+    assert len(gs) > len(_params(c)) // 2
+    return gs
+
+
 def _outcome(a):
     try:
         tag = classify_isometry_group(a).group_tag.value
@@ -59,13 +75,7 @@ def _outcome(a):
 def test_decade_sweep_classifies_right_or_raises(c):
     alg = make_algebra_c(c)
     table = stratum_table("c", c)
-    gs = []
-    for params in _params(c):
-        try:
-            gs.append(metric_from_table(alg, **params))
-        except LieIsoError:
-            pass  # a Gram matrix singular at the rank cutoff is rejected when built
-    assert len(gs) > len(_params(c)) // 2
+    gs = _metrics(alg, c)
     wrong = []
     classified = 0
     for g, a in zip(gs, analyze_metrics(alg, gs)):
@@ -77,3 +87,25 @@ def test_decade_sweep_classifies_right_or_raises(c):
     assert wrong == []
     # most of the sweep classifies; the rest fails at extreme scales (ROADMAP item 2)
     assert classified >= 0.5 * len(gs)
+
+
+@pytest.mark.parametrize("c", sorted(MU))
+def test_decade_sweep_isotropy_has_the_dimension_of_the_svd_solve(c):
+    # the residual test keeps the whole Ricci stabilizer or none of it; the
+    # oracle solves the Singer system on that stabilizer by SVD rank and kernel
+    alg = make_algebra_c(c)
+    gs = _metrics(alg, c)
+    grams = np.stack([g.coeffs for g in gs])
+    conn = levi_civita(alg, grams)
+    tensors = curvature_derivatives(conn, alg)
+    analyses = analyze_metrics(alg, gs)
+    linv = np.linalg.inv(np.linalg.cholesky(grams))
+    frames = np.swapaxes(linv, -1, -2)
+    forms = linv @ np.stack([a.ric for a in analyses]) @ frames
+    forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
+    spaces = intersect_skew(skew_algebra(frames, grams), forms)
+    mismatched = [
+        g.params for n, (g, a, space) in enumerate(zip(gs, analyses, spaces))
+        if len(a.isotropy) != len(solve_singer(space, [t[n] for t in tensors]))
+    ]
+    assert mismatched == []
