@@ -41,12 +41,10 @@ from .isometry import (
     IsometryDescriptor,
     IsometryGroupTag,
     KillingAlgebra,
-    KillingGenerator,
     MetricAnalysis,
     analyze_metrics,
     classify_isometry_group,
     killing_algebra,
-    killing_bracket,
     killing_form,
     singer_isotropy,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "IsometryDescriptor",
     "IsometryGroupTag",
     "KillingAlgebra",
-    "KillingGenerator",
     "LieAlgebra3",
     "LieIsoError",
     "MetricAnalysis",
@@ -103,7 +100,6 @@ __all__ = [
     "index_of_symmetry",
     "inner_product_from_gram",
     "killing_algebra",
-    "killing_bracket",
     "killing_form",
     "levi_civita",
     "make_algebra_I",

@@ -205,8 +205,7 @@ def _check_metrics(points: int, seed: int, out: list[str]) -> bool:
             ("ricci-fd", float(np.max(np.abs(numeric_ricci_frame(alg, g, p) - ric))), 1e-3),
             ("bracket-fd", bracket_field_residual(alg, p), 1e-4),
         ]
-        gen = ka.generators[int(rng.integers(0, 3))]
-        field = right_invariant_field(alg, gen.v)
+        field = right_invariant_field(alg, ka.values[int(rng.integers(0, 3))])
         checks.append(("killing-fd", killing_residual(alg, g, field, p), 1e-5))
         worst = max(v for _, v, _ in checks)
         bad = [name for name, v, tol in checks if v > tol]

@@ -9,8 +9,9 @@ encoding is
     deriv:  (nabla [X, X'])_e = R_{v, v'} - [B, B']
 
 with R_{v, v'} the curvature endomorphism.  The right-invariant fields give
-three Killing fields with B = (the connection endomorphism of v); isotropy
-Killing fields have v = 0 and B solving the Singer conditions
+three Killing fields with B = L(v), the connection endomorphism of v (by
+torsion-freeness), so r_i is (e_i, conn[i]); isotropy Killing fields have
+v = 0 and B solving the Singer conditions
 
     B . R = 0,  B . (nabla R) = 0,  B . (nabla^2 R) = 0,
 
@@ -32,7 +33,7 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .curvature import curvature_derivatives, levi_civita, ricci, scalar_curvature, so_action
 from .errors import InternalConsistencyError, UnsupportedFamilyError
-from .linalg import RANK_TOL, canonical_matrix_basis
+from .linalg import PIVOT_TOL, RANK_TOL, canonical_matrix_basis
 from .metrics import InnerProduct, intersect_skew, skew_algebra
 
 #: Tolerance for re-projecting Killing brackets onto the generator basis.
@@ -54,44 +55,12 @@ class IsometryGroupTag(str, Enum):
 
 
 @dataclass(frozen=True)
-class KillingGenerator:
-    """A Killing field encoded by (value, covariant derivative) at the identity."""
-
-    v: np.ndarray
-    b: np.ndarray
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class IsometryDescriptor:
     group_tag: IsometryGroupTag
     isotropy_dim: int
     total_dim: int
     isotropy_generators: np.ndarray  # (k, 3, 3)
     sectional_constant: float | None
-
-
-def right_invariant_b(alg: LieAlgebra3, conn: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(nabla r_v)_e for the right-invariant field with value v at the identity.
-
-    Column j is L(e_j) v - [e_j, v]; by torsion-freeness this matrix equals
-    the connection endomorphism L(v), a fact the tests pin down.  A stacked
-    ``conn`` gives one matrix per item.
-    """
-    v = np.asarray(v, float)
-    brackets = np.stack([alg.bracket(e, v) for e in np.eye(3)])  # row j is [e_j, v]
-    return np.swapaxes(conn @ v - brackets, -1, -2)
-
-
-def _curvature_endomorphism(curv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # curv[i, j, k, l] -> matrix[l, k] of z |-> R(v, w) z
-    return np.einsum("ijkl,i,j->lk", curv, np.asarray(v, float), np.asarray(w, float))
-
-
-def killing_bracket(a: KillingGenerator, b: KillingGenerator, curv: np.ndarray) -> KillingGenerator:
-    v = b.b @ a.v - a.b @ b.v
-    bb = _curvature_endomorphism(curv, a.v, b.v) - (a.b @ b.b - b.b @ a.b)
-    return KillingGenerator(v=v, b=bb)
 
 
 def singer_isotropy(
@@ -138,7 +107,7 @@ def _normalize_isotropy(mats: np.ndarray) -> np.ndarray:
     the printed form of one-dimensional isotropy algebras (whose generator
     has a nonzero (2,0) entry for every catalog case).
     """
-    if len(mats) == 1 and abs(mats[0][2, 0]) > 1e-12:
+    if len(mats) == 1 and abs(mats[0][2, 0]) > PIVOT_TOL:
         return np.array([mats[0] / mats[0][2, 0]])
     return mats
 
@@ -151,7 +120,7 @@ class MetricAnalysis:
     PARALLEL_TOL); ``ricci_eigenvalues`` (ascending) and ``ricci_axes``
     (columns: g-orthonormal eigenvectors in the e-frame) are the spectrum of
     Ric relative to g, and ``scalar`` its trace; ``isotropy`` is the Singer
-    isotropy basis (k, 3, 3); ``right_b[i]`` is the derivative B of the
+    isotropy basis (k, 3, 3).  ``conn[i]`` is also the derivative B of the
     right-invariant field of value e_i.
     """
 
@@ -166,7 +135,12 @@ class MetricAnalysis:
     scalar: float
     symmetric: bool
     isotropy: np.ndarray
-    right_b: np.ndarray
+
+    @property
+    def killing_derivatives(self) -> np.ndarray:
+        """Derivatives B (3 + k, 3, 3) of the Killing generators r0, r1, r2,
+        A1, ..., Ak: ``conn`` stacked on ``isotropy``."""
+        return np.concatenate([self.conn, self.isotropy])
 
     @property
     def constant_curvature(self) -> bool:
@@ -177,7 +151,7 @@ class MetricAnalysis:
 
 
 def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
-    """Connection, R, nabla R, Ricci spectrum, isotropy and right-invariant B of each metric.
+    """Connection, R, nabla R, Ricci spectrum and isotropy of each metric.
 
     The Gram matrices of ``gs`` are stacked and each kernel runs once for the
     whole stack; the result holds one MetricAnalysis per metric, in order,
@@ -198,7 +172,6 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     axes = frames @ evecs
     scalar = scalar_curvature(ric, grams)
     isotropy = singer_isotropy(grams, frames, sym, (curv, nabla_r, nabla2_r))
-    right_b = np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)], axis=1)
     analyses = []
     for n, g in enumerate(gs):
         r, dr = curv[n], nabla_r[n]
@@ -214,58 +187,58 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
             scalar=float(scalar[n]),
             symmetric=float(np.max(np.abs(dr))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(r)))),
             isotropy=isotropy[n],
-            right_b=right_b[n],
         ))
     return analyses
 
 
 @dataclass(frozen=True)
 class KillingAlgebra:
-    generators: tuple[KillingGenerator, ...]
+    values: np.ndarray  # (3 + k, 3): value of each generator at the identity
+    derivatives: np.ndarray  # (3 + k, 3, 3): its covariant derivative there
     structure: np.ndarray  # structure[a, b, m]: coefficient of generator m in [gen_a, gen_b]
     closure_residual: float
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(gen.label for gen in self.generators)
+        k = len(self.values) - 3
+        return tuple(f"r{i}" for i in range(3)) + tuple(f"A{j + 1}" for j in range(k))
 
 
 def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     """Full Killing algebra: right-invariant generators plus isotropy.
 
-    Generators are ordered (r0, r1, r2, A1, ..., Ak).  Every pairwise bracket
-    is re-expanded in the basis; a projection residual above CLOSURE_TOL
-    raises InternalConsistencyError since the Killing algebra must close.
+    Generators are ordered (r0, r1, r2, A1, ..., Ak): r_i has value e_i and
+    derivative conn[i], A_j value 0 and derivative isotropy[j].  Every
+    bracket is formed at once and re-expanded in the basis: its value gives
+    the r-coefficients, and what is left of its derivative is projected onto
+    the isotropy by one least-squares solve with one right-hand side per
+    pair.  A projection residual above CLOSURE_TOL raises
+    InternalConsistencyError since the Killing algebra must close.
     """
-    curv, iso = a.curv, a.isotropy
-
-    gens = [KillingGenerator(v=np.eye(3)[i], b=a.right_b[i], label=f"r{i}") for i in range(3)]
-    gens += [KillingGenerator(v=np.zeros(3), b=mat, label=f"A{j + 1}") for j, mat in enumerate(iso)]
-
-    n = len(gens)
-    iso_flat = iso.reshape(len(iso), 9) if len(iso) else np.zeros((0, 9))
-    structure = np.zeros((n, n, n))
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = killing_bracket(gens[a], gens[b], curv)
-            coeffs = np.zeros(n)
-            coeffs[:3] = br.v
-            rest = br.b - sum(br.v[i] * gens[i].b for i in range(3))
-            if len(iso):
-                sol, *_ = np.linalg.lstsq(iso_flat.T, rest.ravel(), rcond=None)
-                coeffs[3:] = sol
-                residual = float(np.max(np.abs(iso_flat.T @ sol - rest.ravel())))
-            else:
-                residual = float(np.max(np.abs(rest)))
-            worst = max(worst, residual)
-            structure[a, b] = coeffs
-            structure[b, a] = -coeffs
+    derivs = a.killing_derivatives
+    n, k = len(derivs), len(a.isotropy)
+    values = np.eye(n, 3)
+    first, second = np.triu_indices(n, 1)
+    va, vb, ba, bb = values[first], values[second], derivs[first], derivs[second]
+    # [X_a, X_b] = (B_b v_a - B_a v_b, R(v_a, v_b) - [B_a, B_b]); the products
+    # B_a B_b are the einsum that ``curvature`` forms L(e_a) L(e_b) with, so
+    # between right-invariant generators the [L_a, L_b] of R cancels exactly
+    value = np.einsum("pkl,pl->pk", bb, va) - np.einsum("pkl,pl->pk", ba, vb)
+    comm = np.einsum("pab,pbc->pac", ba, bb) - np.einsum("pab,pbc->pac", bb, ba)
+    deriv = np.einsum("ijkl,pi,pj->plk", a.curv, va, vb) - comm
+    rest = (deriv - np.einsum("pi,ikl->pkl", value, a.conn)).reshape(-1, 9).T
+    iso_cols = a.isotropy.reshape(k, 9).T
+    sol = np.linalg.lstsq(iso_cols, rest, rcond=None)[0] if k else np.zeros((0, len(first)))
+    worst = float(np.max(np.abs(iso_cols @ sol - rest)))
     if worst > CLOSURE_TOL:
         raise InternalConsistencyError(
             f"Killing algebra does not close on its generators (residual {worst:.3e})"
         )
-    return KillingAlgebra(generators=tuple(gens), structure=structure, closure_residual=worst)
+    coeffs = np.concatenate([value, sol.T], axis=1)
+    structure = np.zeros((n, n, n))
+    structure[first, second] = coeffs
+    structure[second, first] = -coeffs
+    return KillingAlgebra(values=values, derivatives=derivs, structure=structure, closure_residual=worst)
 
 
 def killing_form(ka: KillingAlgebra) -> tuple[np.ndarray, np.ndarray]:

@@ -65,12 +65,6 @@ class InnerProduct:
         g.flags.writeable = False
         object.__setattr__(self, "coeffs", g)
 
-    def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.asarray(x, float) @ self.coeffs @ np.asarray(y, float))
-
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(max(self.pairing(x, x), 0.0))
-
 
 def inner_product_from_gram(gram: np.ndarray) -> InnerProduct:
     return InnerProduct(coeffs=np.asarray(gram, dtype=float), name=METRIC_GRAM)

@@ -2,8 +2,8 @@
 
 The index of symmetry at the identity is the dimension of the space of
 Killing fields with vanishing covariant derivative there: pairs (v, alpha)
-with B_v + sum_j alpha_j A_j = 0, where B_v is the derivative of the
-right-invariant field of value v and the A_j span the isotropy algebra.  In
+with B_v + sum_j alpha_j A_j = 0, where B_v = L(v) is the derivative of
+the right-invariant field of value v and the A_j span the isotropy algebra.  In
 this family of groups the index is always 0, 1 or 3; the value 2 is
 structurally impossible and is treated as an internal error.
 
@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
 from .errors import InternalConsistencyError, LieIsoError, RangeError, UnsupportedFamilyError
 from .isometry import MetricAnalysis, analyze_metrics, classify_isometry_group
-from .linalg import rank_and_kernel
+from .linalg import PIVOT_TOL, rank_and_kernel
 from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, InnerProduct, metric_from_table, stratum_table
 
 #: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
@@ -50,10 +50,8 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     generators are linearly independent, so the kernel projects injectively
     onto v-space and its dimension equals the index.
     """
-    iso, b_basis = a.isotropy, a.right_b
-    cols = [b.ravel() for b in b_basis]
-    cols += [mat.ravel() for mat in iso]
-    m = np.stack(cols, axis=1)
+    # columns: vec B of r0, r1, r2 (the connection endomorphisms), then of A1..Ak
+    m = a.killing_derivatives.reshape(-1, 9).T
     _, kernel = rank_and_kernel(m)
     index = len(kernel)
 
@@ -66,22 +64,16 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     if a.constant_curvature and index != 3:
         raise InternalConsistencyError("constant curvature must give the full index")
 
+    # the certificate: max |B_v + sum_j alpha_j A_j| over the kernel vectors
+    residual = float(np.max(np.abs(m @ kernel.T))) if index > 0 else 0.0
+    if residual > CERTIFICATE_TOL:
+        raise InternalConsistencyError(f"symmetry certificate residual {residual:.3e} too large")
     generator = None
-    residual = 0.0
-    if index > 0:
-        worst = 0.0
-        for vec in kernel:
-            combo = sum(vec[3 + j] * iso[j] for j in range(len(iso))) if len(iso) else 0.0
-            b_v = sum(vec[i] * b_basis[i] for i in range(3))
-            worst = max(worst, float(np.max(np.abs(b_v + combo))))
-        residual = worst
-        if residual > CERTIFICATE_TOL:
-            raise InternalConsistencyError(f"symmetry certificate residual {residual:.3e} too large")
     if index == 1:
         v = kernel[0][:3]
-        pivot = next(x for x in v if abs(x) > 1e-12)
+        pivot = next(x for x in v if abs(x) > PIVOT_TOL)
         generator = v / pivot
-        generator[np.abs(generator) < 1e-12] = 0.0
+        generator[np.abs(generator) < PIVOT_TOL] = 0.0
 
     return SymmetryReport(
         index=index,

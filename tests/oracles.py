@@ -7,7 +7,9 @@ that is the reference for the constant-curvature decision of
 ``lieiso.isometry.classify_isometry_group``, and the e-frame Singer search
 space (so(g) and the Ricci stabilizer each solved as a 9x9 operator, then
 intersected) with the Singer solve on it, the reference for
-``lieiso.metrics.skew_algebra`` and ``intersect_skew``.  They check
+``lieiso.metrics.skew_algebra`` and ``intersect_skew``, and the pairwise
+Killing bracket, the reference for the batched brackets of
+``lieiso.isometry.killing_algebra``.  They check
 ``lieiso.groups``, ``lieiso.metrics`` and ``lieiso.isometry`` from outside;
 nothing in the package calls them.
 
@@ -70,8 +72,9 @@ def sectional_curvature(curv, g, x, y):
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     rxyy = np.einsum("ijkl,i,j,k->l", curv, x, y, y)
-    num = g.pairing(rxyy, x)
-    den = g.pairing(x, x) * g.pairing(y, y) - g.pairing(x, y) ** 2
+    gram = g.coeffs
+    num = float(x @ gram @ rxyy)
+    den = float((x @ gram @ x) * (y @ gram @ y) - (x @ gram @ y) ** 2)
     if den <= 0.0:
         raise ValueError("sectional curvature needs two linearly independent vectors")
     return num / den
@@ -160,6 +163,46 @@ def solve_singer(space, tensors):
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
     return _normalize_isotropy(canonical_matrix_basis(np.einsum("ks,sij->kij", kernel, space)))
+
+
+def killing_bracket(curv, a, b):
+    """[X_a, X_b] of two Killing fields given as (value v, derivative B) pairs.
+
+    value B_b v_a - B_a v_b, derivative R(v_a, v_b) - [B_a, B_b], with
+    R(v, w) the matrix [l, k] of z -> R(v, w) z.
+    """
+    (va, ba), (vb, bb) = a, b
+    r = np.einsum("ijkl,i,j->lk", curv, va, vb)
+    return bb @ va - ba @ vb, r - (ba @ bb - bb @ ba)
+
+
+def killing_structure(a):
+    """Structure constants of the Killing algebra of an analysis, one pair at a time.
+
+    Each bracket is re-expanded on the generators r0, r1, r2 (value e_i,
+    derivative conn[i]) and A1..Ak (value 0, derivative isotropy[j]) by its
+    value and one least-squares solve for what is left of its derivative.
+    Returns (structure, worst projection residual).
+    """
+    iso = a.isotropy
+    gens = [(np.eye(3)[i], a.conn[i]) for i in range(3)] + [(np.zeros(3), m) for m in iso]
+    n = len(gens)
+    structure = np.zeros((n, n, n))
+    worst = 0.0
+    for p in range(n):
+        for q in range(p + 1, n):
+            v, b = killing_bracket(a.curv, gens[p], gens[q])
+            rest = (b - sum(v[i] * a.conn[i] for i in range(3))).ravel()
+            coeffs = np.zeros(n)
+            coeffs[:3] = v
+            if len(iso):
+                cols = iso.reshape(len(iso), 9).T
+                coeffs[3:] = np.linalg.lstsq(cols, rest, rcond=None)[0]
+                rest = cols @ coeffs[3:] - rest
+            worst = max(worst, float(np.max(np.abs(rest))))
+            structure[p, q] = coeffs
+            structure[q, p] = -coeffs
+    return structure, worst
 
 
 def span_sine(a, b):

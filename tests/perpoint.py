@@ -90,12 +90,6 @@ def ricci_frame(g, ric):
     return linv, 0.5 * (sym + sym.T)
 
 
-def right_invariant_b(alg, conn, v):
-    v = np.asarray(v, float)
-    cols = [conn[j] @ v - alg.bracket(np.eye(3)[j], v) for j in range(3)]
-    return np.column_stack(cols)
-
-
 def analyze_metric(alg, g):
     conn = levi_civita(alg, g)
     curv = curvature(conn, alg)
@@ -116,5 +110,4 @@ def analyze_metric(alg, g):
         scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
         symmetric=float(np.max(np.abs(nabla_r))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(curv)))),
         isotropy=singer_isotropy(g, linv, sym, (curv, nabla_r, nabla2_r)),
-        right_b=np.stack([right_invariant_b(alg, conn, e) for e in np.eye(3)]),
     )

@@ -16,14 +16,13 @@ from lieiso.symmetry import index_of_symmetry, scan_moduli
 # submodule of the same name as an attribute of ``lieiso``
 LEVI_CIVITA = importlib.import_module("lieiso.curvature").levi_civita
 SINGER_ISOTROPY = importlib.import_module("lieiso.isometry").singer_isotropy
-RIGHT_INVARIANT_B = importlib.import_module("lieiso.isometry").right_invariant_b
 RANK_AND_KERNEL = importlib.import_module("lieiso.linalg").rank_and_kernel
 
 
-def _count_calls(monkeypatch, fn, importers: int = 1) -> list:
+def _count_calls(monkeypatch, fn) -> list:
     """Replace ``fn`` under every name that binds it in a lieiso module with
-    a wrapper that records each call.  ``importers``: the least number of
-    modules besides the defining one expected to bind ``fn``."""
+    a wrapper that records each call; at least one module besides the
+    defining one must bind ``fn``."""
     calls: list = []
 
     def counting(*args, **kwargs):
@@ -38,7 +37,7 @@ def _count_calls(monkeypatch, fn, importers: int = 1) -> list:
             if obj is fn:
                 monkeypatch.setattr(mod, attr, counting)
                 bindings += 1
-    assert bindings >= 1 + importers
+    assert bindings >= 2
     return calls
 
 
@@ -53,14 +52,16 @@ def test_build_report_computes_connection_and_isotropy_once(monkeypatch):
     assert len(singer) == 1
 
 
-def test_build_report_builds_each_right_invariant_derivative_once(monkeypatch):
+def test_right_invariant_derivatives_are_the_connection():
     # killing_algebra and index_of_symmetry both read B of r_e0, r_e1, r_e2
-    alg = make_algebra_c(0.25)
-    g = metric_from_table(alg, mu=0.5, nu=1.3)
-    want = to_json(build_report(alg, g))
-    calls = _count_calls(monkeypatch, RIGHT_INVARIANT_B, importers=0)
-    assert to_json(build_report(alg, g)) == want
-    assert len(calls) == 3
+    # as conn[0], conn[1], conn[2], stacked on the isotropy
+    alg = make_algebra_c(0.0)
+    g = metric_from_table(alg, mu=0.7, nu=1.3)
+    analysis = analyze_metrics(alg, [g])[0]
+    derivs = analysis.killing_derivatives
+    np.testing.assert_array_equal(derivs[:3], analysis.conn)
+    np.testing.assert_array_equal(derivs[3:], analysis.isotropy)
+    np.testing.assert_array_equal(killing_algebra(analysis).derivatives, derivs)
 
 
 @pytest.mark.parametrize("family,c,params", [
@@ -121,7 +122,7 @@ def test_shared_analysis_gives_the_same_answers(monkeypatch):
     assert lc == [] and singer == []  # the classifiers only read the analysis
     assert descriptor.group_tag.value == "Product_SO2"
     np.testing.assert_array_equal(descriptor.isotropy_generators, analysis.isotropy)
-    np.testing.assert_array_equal(ka.generators[3].b, analysis.isotropy[0])
+    np.testing.assert_array_equal(ka.derivatives[3], analysis.isotropy[0])
     assert sym.index == 1
     np.testing.assert_allclose(sym.generator, [1.0, -0.5, 0.0], atol=1e-9)
 

@@ -290,12 +290,12 @@ def test_no_constant_curvature_from_curvatures_near_zero(capsys):
          "Killing algebra does not close on its generators (residual 8.941e-08)"),
         # nu is only a homothety, yet extreme nu fails
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e-9"], 3, "symmetric form is degenerate (rank 2)"),
-        (["--c", "0.25", "--mu", "0.5", "--nu", "1e-7"], 1, "symmetry certificate residual 3.725e-09 too large"),
+        (["--c", "0.25", "--mu", "0.5", "--nu", "1e-7"], 1, "symmetry certificate residual 3.749e-09 too large"),
         (["--c", "0.6", "--mu", "0.5", "--nu", "1e-8"], 1,
-         "Killing algebra does not close on its generators (residual 2.980e-08)"),
+         "Killing algebra does not close on its generators (residual 1.490e-08)"),
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e9"], 3, "symmetric form is degenerate (rank 2)"),
         (["--c=-2", "--mu", "2e-6", "--nu", "1e-8"], 1,
-         "Killing algebra does not close on its generators (residual 1.363e-02)"),
+         "Killing algebra does not close on its generators (residual 5.821e-03)"),
         (["--family", "I", "--nu", "1e8"], 1,
          "Killing algebra does not close on its generators (residual 1.490e-08)"),
         # the branch points c -> 0 and c -> 1
@@ -330,11 +330,16 @@ def test_outcomes_of_in_range_inputs_that_still_fail(capsys, argv, code, error):
         (["--c", "0", "--mu", "1e8", "--nu", "1"], "Product_SO2", 1),
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e8"], "TranslationsOnly", 1),
         (["--c=-2", "--mu", "1e-5", "--nu", "1"], "TranslationsOnly", 0),
+        (["--c", "4", "--mu", "1.000003", "--nu", "1"], "TranslationsOnly", 0),
+        (["--c", "0.25", "--mu", "0", "--nu", "1e-7"], "TranslationsOnly", 1),
+        (["--c=-2", "--mu", "2e-7", "--nu", "1e-8"], "TranslationsOnly", 0),
     ],
 )
 def test_outcomes_of_in_range_inputs_that_once_failed(capsys, argv, tag, index):
     # These failed the Killing closure check while the Singer search space
-    # was solved in the e-frame; each classifies as its stratum says.
+    # was solved in the e-frame (the first five) or while the brackets were
+    # formed pair by pair from a recomputed copy of the connection (the last
+    # three); each classifies as its stratum says.
     got, out, err = run_cli(capsys, "classify", "--json", "--family", "c", *argv)
     assert got == 0 and err == ""
     report = json.loads(out)

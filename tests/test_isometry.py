@@ -1,22 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import goldens
 from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.curvature import curvature, curvature_derivatives, levi_civita, ricci, scalar_curvature
+from lieiso.errors import InternalConsistencyError
 from lieiso.isometry import (
     CLOSURE_TOL,
     IsometryGroupTag,
-    KillingGenerator,
     analyze_metrics,
     classify_isometry_group,
     killing_algebra,
-    killing_bracket,
     killing_form,
-    right_invariant_b,
 )
 from lieiso.metrics import inner_product_from_gram, metric_from_table, skew_algebra
-from oracles import solve_singer
+from oracles import killing_bracket, killing_structure, solve_singer
 
 GRID = [0.5, 1.0, 2.0]
 
@@ -93,12 +93,17 @@ def test_ricci_prefilter_does_not_change_the_answer():
 
 
 def test_right_invariant_b_equals_connection_endomorphism():
-    # Torsion-freeness makes (nabla r_v) at the identity equal to L(v).
+    # (nabla r_v)_e has column j equal to L(e_j) v - [e_j, v]; torsion-freeness
+    # makes it L(v), which the Killing algebra takes as the derivative of r_i
     alg = make_algebra_c(0.5)
     g = metric_from_table(alg, mu=0.3, nu=1.0)
-    conn = levi_civita(alg, g.coeffs)
-    for v in np.eye(3):
-        np.testing.assert_allclose(right_invariant_b(alg, conn, v), np.einsum("i,ikl->kl", v, conn), atol=1e-13)
+    analysis = analyze_metrics(alg, [g])[0]
+    conn = analysis.conn
+    derivs = killing_algebra(analysis).derivatives
+    for i, v in enumerate(np.eye(3)):
+        by_columns = np.column_stack([conn[j] @ v - alg.bracket(e, v) for j, e in enumerate(np.eye(3))])
+        np.testing.assert_allclose(by_columns, np.einsum("i,ikl->kl", v, conn), atol=1e-13)
+        np.testing.assert_array_equal(derivs[i], conn[i])
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -107,7 +112,7 @@ def test_c_zero_killing_algebra_brackets(mu, nu):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=mu, nu=nu)
     ka = killing_algebra(analyze_metrics(alg, [g])[0])
-    assert len(ka.generators) == 4
+    assert len(ka.values) == 4
     assert ka.labels == ("r0", "r1", "r2", "A1")
     assert ka.closure_residual <= CLOSURE_TOL
     expected = goldens.killing_bracket_table_c0(mu, nu)
@@ -151,19 +156,52 @@ def test_killing_bracket_encoding():
     g = metric_from_table(alg, mu=1.0, nu=1.0)
     conn = levi_civita(alg, g.coeffs)
     curv = curvature(conn, alg)
-    gens = [
-        KillingGenerator(v=np.eye(3)[i], b=right_invariant_b(alg, conn, np.eye(3)[i]))
-        for i in range(3)
-    ]
+    gens = [(np.eye(3)[i], conn[i]) for i in range(3)]
     # antisymmetry of the encoded bracket
-    br01 = killing_bracket(gens[0], gens[1], curv)
-    br10 = killing_bracket(gens[1], gens[0], curv)
-    np.testing.assert_allclose(br01.v, -br10.v, atol=1e-12)
-    np.testing.assert_allclose(br01.b, -br10.b, atol=1e-12)
+    v01, b01 = killing_bracket(curv, gens[0], gens[1])
+    v10, b10 = killing_bracket(curv, gens[1], gens[0])
+    np.testing.assert_allclose(v01, -v10, atol=1e-12)
+    np.testing.assert_allclose(b01, -b10, atol=1e-12)
     # [r0, r2] is again a Killing field: its derivative part must be the
     # connection endomorphism of its value part
-    br02 = killing_bracket(gens[0], gens[2], curv)
-    np.testing.assert_allclose(br02.b, np.einsum("i,ikl->kl", br02.v, conn), atol=1e-10)
+    v02, b02 = killing_bracket(curv, gens[0], gens[2])
+    np.testing.assert_allclose(b02, np.einsum("i,ikl->kl", v02, conn), atol=1e-10)
+
+
+# one sample point of each row of the stratification table, at nu = 1.5
+TABLE_POINTS = [
+    (None, {}), (-2.0, {"mu": 1.7}), (-2.0, {"mu": 2.0}), (0.0, {"mu": 2.0}), (0.0, {}),
+    (0.25, {"mu": 0.0}), (0.25, {"mu": 0.7}), (0.25, {"mu": 0.5}), (1.0, {"mu": 0.8}),
+    (1.0, {"mu": 1.0}), (1.0, {"lam": 0.8}), (4.0, {"mu": 2.9}), (4.0, {"mu": 2.0}), (4.0, {"mu": 4.0}),
+]
+
+
+@pytest.mark.parametrize("c,params", TABLE_POINTS)
+def test_batched_brackets_equal_the_pairwise_reference(c, params):
+    alg = make_algebra_I() if c is None else make_algebra_c(c)
+    analysis = analyze_metrics(alg, [metric_from_table(alg, nu=1.5, **params)])[0]
+    ka = killing_algebra(analysis)
+    want, worst = killing_structure(analysis)
+    assert float(np.max(np.abs(ka.structure - want))) <= 1e-12 * float(np.max(np.abs(want)))
+    # the closure residual is what is left of the bracket derivatives, whose
+    # terms have the size of conn^2
+    assert abs(ka.closure_residual - worst) <= 1e-12 * float(np.max(np.abs(analysis.conn))) ** 2
+    assert worst <= CLOSURE_TOL
+    np.testing.assert_array_equal(ka.values, np.eye(len(want), 3))
+    np.testing.assert_array_equal(ka.derivatives, np.concatenate([analysis.conn, analysis.isotropy]))
+
+
+def test_killing_algebra_rejects_a_derivative_that_is_not_killing():
+    # a g-skew matrix that no Killing field has as its derivative at e:
+    # G^-1 S is g-skew for every antisymmetric S
+    alg = make_algebra_c(0.0)
+    g = metric_from_table(alg, mu=0.7, nu=1.3)
+    analysis = analyze_metrics(alg, [g])[0]
+    skew = np.linalg.solve(g.coeffs, np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(skew.T @ g.coeffs + g.coeffs @ skew, 0.0, atol=1e-12)
+    assert killing_algebra(analysis).closure_residual <= CLOSURE_TOL
+    with pytest.raises(InternalConsistencyError, match="does not close"):
+        killing_algebra(dataclasses.replace(analysis, isotropy=skew[None]))
 
 
 CLASSIFY_CASES = [
@@ -257,7 +295,7 @@ def test_killing_algebra_dims_follow_isotropy():
     ]:
         g = metric_from_table(alg, **kwargs)
         ka = killing_algebra(analyze_metrics(alg, [g])[0])
-        assert len(ka.generators) == want
+        assert len(ka.values) == want
         assert ka.closure_residual <= CLOSURE_TOL
         form, eigs = killing_form(ka)
         np.testing.assert_allclose(form, form.T, atol=1e-12)

@@ -133,14 +133,6 @@ def test_snap_parameters_reports_motion():
     assert not moved
 
 
-def test_inner_product_operations():
-    g = inner_product_from_gram(np.diag([1.0, 2.0, 4.0]))
-    x = np.array([1.0, 1.0, 0.0])
-    y = np.array([0.0, 1.0, 1.0])
-    assert g.pairing(x, y) == pytest.approx(2.0)
-    assert g.norm(x) == pytest.approx(np.sqrt(3.0))
-
-
 def test_non_spd_gram_rejected():
     with pytest.raises(NonPositiveDefiniteError):
         inner_product_from_gram(np.diag([1.0, -1.0, 1.0]))

@@ -24,7 +24,7 @@ from oracles import constant_sectional, singer_isotropy, singer_search_space, sp
 
 GROUPS = DEFAULT_GROUPS + [(FAMILY_C, -0.7), (FAMILY_C, 0.81), (FAMILY_C, 5.5)]
 FIELDS = ("conn", "curv", "nabla_r", "ric", "ricci_eigenvalues", "ricci_axes", "scalar",
-          "symmetric", "isotropy", "right_b")
+          "symmetric", "isotropy")
 
 
 def _scan_metrics(family, c):
