@@ -1,7 +1,7 @@
 """Exception types shared by the public API.
 
 A Gram matrix is validated once, when its metric is built
-(``linalg.check_spd``, reached through ``metrics.InnerProduct``): a matrix
+(``metrics.check_spd``, called by ``metrics.InnerProduct``): a matrix
 that is not finite, not symmetric or not positive definite raises
 NonPositiveDefiniteError, and one that is singular at the rank cutoff
 ``linalg.RANK_TOL`` raises DegenerateFormError.  Nothing after construction

@@ -17,10 +17,9 @@ v = 0 and B solving the Singer conditions
 
 which in dimension 3 (where n(n-1)/2 = 3) already certify integrability.
 Every solution B stabilizes the Ricci form.  In dimension 3, R is fixed by
-Ric and g, and that stabilizer in so(g) has dimension 0, 1 or 3; the
-isotropy is all of it or none of it, so one residual test per metric keeps
-or drops it.  The stabilizer is decided in the g-orthonormal frame in which
-``analyze_metrics`` reads the Ricci spectrum.
+Ric and g, and that stabilizer in so(g) has dimension 0, 1 or 3, read off
+the Ricci eigenvalue multiplicities (``metrics.ricci_clusters``); the
+isotropy is all of it or none of it, so one residual test keeps or drops it.
 """
 
 from __future__ import annotations
@@ -34,14 +33,11 @@ from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
 from .curvature import curvature_derivatives, levi_civita, ricci, scalar_curvature, so_action
 from .errors import InternalConsistencyError, UnsupportedFamilyError
 from .linalg import PIVOT_TOL, RANK_TOL, canonical_matrix_basis
-from .metrics import InnerProduct, intersect_skew, skew_algebra
+from .metrics import RICCI_TOL, InnerProduct, intersect_skew, ricci_clusters, skew_algebra
 
-#: Tolerance for re-projecting Killing brackets onto the generator basis.
+#: Tolerance for re-projecting Killing brackets onto the generator basis,
+#: relative to max(1, max|derivative|) of the generators.
 CLOSURE_TOL = 1e-8
-
-#: Relative tolerance of the Ricci-spectrum decisions: eigenvalues within
-#: RICCI_TOL * max|lambda| of each other (or of zero) count as equal (or zero).
-RICCI_TOL = 1e-9
 
 #: The curvature is parallel when max|nabla R| <= PARALLEL_TOL * max(1, max|R|).
 PARALLEL_TOL = 1e-9
@@ -66,21 +62,23 @@ class IsometryDescriptor:
 def singer_isotropy(
     grams: np.ndarray,
     frames: np.ndarray,
-    forms: np.ndarray,
+    evals: np.ndarray,
+    evecs: np.ndarray,
     tensors: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> list[np.ndarray]:
     """Basis (k, 3, 3) of the isotropy algebra of each metric of a stack, canonically normalized.
 
     ``grams`` (n, 3, 3) are the Gram matrices, ``frames`` g-orthonormal
-    frames F, ``forms`` the Ricci forms F^T Ric F and ``tensors`` the stacked
-    (R, nabla R, nabla^2 R), all with the same leading axis.  ``skew_algebra``
-    gives so(g) in closed form and ``intersect_skew`` the stabilizer of the
-    Ricci form in it, with one rank decision per metric.  That stabilizer is
-    kept whole when the largest singular value of its action on the three
-    tensors is at most RANK_TOL * max|T| * max|stabilizer entry|, and
-    dropped otherwise.  The so(3) action runs once per tensor for the stack.
+    frames F, ``evals`` (n, 3) and ``evecs`` (n, 3, 3) the spectra of the
+    Ricci forms F^T Ric F, and ``tensors`` the stacked (R, nabla R,
+    nabla^2 R), all with the same leading axis.  ``skew_algebra`` gives so(g)
+    in closed form and ``intersect_skew`` the stabilizer of the Ricci form in
+    it, read off the spectrum.  That stabilizer is kept whole when the
+    largest singular value of its action on the three tensors is at most
+    RANK_TOL * max|T| * max|stabilizer entry|, and dropped otherwise.  The
+    so(3) action runs once per tensor for the stack.
     """
-    spaces = intersect_skew(skew_algebra(frames, grams), forms)
+    spaces = intersect_skew(skew_algebra(frames, grams), evals, evecs)
     # every (metric, stabilizer matrix) pair of the stack, acted on each tensor
     owner = [n for n, space in enumerate(spaces) for _ in space]
     acted = np.hstack([so_action(np.concatenate(spaces), t[owner]).reshape(len(owner), -1)
@@ -145,9 +143,8 @@ class MetricAnalysis:
     @property
     def constant_curvature(self) -> bool:
         """Whether the curvature is constant: in dimension 3 iff Ric = 2K g,
-        i.e. iff the Ricci spectrum is one eigenvalue, within RICCI_TOL."""
-        evals = self.ricci_eigenvalues
-        return bool(evals[-1] - evals[0] <= RICCI_TOL * float(np.max(np.abs(evals))))
+        i.e. iff the Ricci spectrum is one triple eigenvalue at RICCI_TOL."""
+        return ricci_clusters(self.ricci_eigenvalues)[0] == 3
 
 
 def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
@@ -171,7 +168,7 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     evals, evecs = np.linalg.eigh(sym)
     axes = frames @ evecs
     scalar = scalar_curvature(ric, grams)
-    isotropy = singer_isotropy(grams, frames, sym, (curv, nabla_r, nabla2_r))
+    isotropy = singer_isotropy(grams, frames, evals, evecs, (curv, nabla_r, nabla2_r))
     analyses = []
     for n, g in enumerate(gs):
         r, dr = curv[n], nabla_r[n]
@@ -212,8 +209,8 @@ def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     bracket is formed at once and re-expanded in the basis: its value gives
     the r-coefficients, and what is left of its derivative is projected onto
     the isotropy by one least-squares solve with one right-hand side per
-    pair.  A projection residual above CLOSURE_TOL raises
-    InternalConsistencyError since the Killing algebra must close.
+    pair.  A projection residual above CLOSURE_TOL * max(1, max|derivative|)
+    raises InternalConsistencyError since the Killing algebra must close.
     """
     derivs = a.killing_derivatives
     n, k = len(derivs), len(a.isotropy)
@@ -230,7 +227,7 @@ def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     iso_cols = a.isotropy.reshape(k, 9).T
     sol = np.linalg.lstsq(iso_cols, rest, rcond=None)[0] if k else np.zeros((0, len(first)))
     worst = float(np.max(np.abs(iso_cols @ sol - rest)))
-    if worst > CLOSURE_TOL:
+    if worst > CLOSURE_TOL * max(1.0, float(np.max(np.abs(derivs)))):
         raise InternalConsistencyError(
             f"Killing algebra does not close on its generators (residual {worst:.3e})"
         )
@@ -253,14 +250,11 @@ def _ricci_product_signature(a: MetricAnalysis) -> bool:
     """Detect the metric-product signature: Ricci eigenvalues (0, -b, -b) with
     the kernel direction parallel (so the flat factor splits off)."""
     evals = a.ricci_eigenvalues
-    tol = RICCI_TOL * float(np.max(np.abs(evals)))
-    near_zero = np.abs(evals) <= tol
-    if int(near_zero.sum()) != 1:
+    multiplicity, simple, tol = ricci_clusters(evals)
+    # evals[1] always belongs to the double pair
+    if multiplicity != 2 or abs(evals[simple]) > tol or evals[1] >= 0:
         return False
-    nonzero = evals[~near_zero]
-    if nonzero[1] - nonzero[0] > tol or nonzero[0] >= 0:
-        return False
-    v = a.ricci_axes[:, int(np.argmax(near_zero))]
+    v = a.ricci_axes[:, simple]
     v = v / np.linalg.norm(v)
     parallel_defect = float(np.max(np.abs(a.conn @ v)))
     return parallel_defect <= RICCI_TOL * max(1.0, float(np.max(np.abs(a.conn))))
@@ -274,7 +268,6 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
       k = 1 and parallel curvature: metric product line x hyperbolic plane
       k = 1 otherwise: the group itself times a circle of isotropies
       k = 0: only the simply transitive translations
-    k = 2 is impossible and raises InternalConsistencyError.
     """
     if a.alg.family not in (FAMILY_I, FAMILY_C):
         raise UnsupportedFamilyError("classification requires family I or c")
@@ -283,8 +276,6 @@ def classify_isometry_group(a: MetricAnalysis) -> IsometryDescriptor:
     # a constant curvature K is scal / 6 in dimension 3
     sec = a.scalar / 6.0 if a.constant_curvature else None
 
-    if k == 2:
-        raise InternalConsistencyError("isotropy dimension 2 cannot occur in dimension 3")
     if k == 3:
         if sec is None or sec >= 0.0 or not symmetric:
             raise InternalConsistencyError(

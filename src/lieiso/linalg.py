@@ -2,16 +2,16 @@
 
 Every rank decision in the package funnels through :func:`rank_and_kernel`,
 which applies the one relative cutoff ``RANK_TOL``.  A classify report makes
-three: the Gram matrix when its metric is built, the stabilizer of the
-Ricci form in so(g), and the index of symmetry.  :func:`canonical_matrix_basis`
-reduces only the isotropy basis the Singer residual test keeps.
+two: the Gram matrix when its metric is built (``metrics.check_spd``) and
+the index of symmetry.  The stabilizer of the Ricci form is read off the
+Ricci eigenvalue multiplicities (``metrics.ricci_clusters``), with no rank
+decision.  :func:`canonical_matrix_basis` reduces only the isotropy basis
+the Singer residual test keeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DegenerateFormError, NonPositiveDefiniteError
 
 # Coordinate scan order used to canonicalize bases of 3x3 matrix subspaces:
 # lower triangle first, then the diagonal, then the upper triangle.  For
@@ -26,31 +26,22 @@ _FLAT_PIVOTS = [3 * i + j for i, j in MATRIX_PIVOT_ORDER]
 RANK_TOL = 1e-9
 #: Entries below PIVOT_TOL * max(1, max|entry|) are not taken as pivots.
 PIVOT_TOL = 1e-12
-#: Largest asymmetry |G - G^T| a Gram matrix may have, relative to max(1, max|G|).
-SYMMETRY_TOL = 1e-10
 
 
-def rank_and_kernel(m: np.ndarray, *, scale: float | None = None) -> tuple[int, np.ndarray]:
+def rank_and_kernel(m: np.ndarray) -> tuple[int, np.ndarray]:
     """Rank of ``m`` and an orthonormal basis of its (right) null space.
 
     Returns ``(rank, kernel)`` where ``kernel`` has one row per null vector.
-    The cutoff is relative: singular values below ``RANK_TOL * scale`` are
-    treated as zero, where ``scale`` defaults to ``max|m|``.  Callers solving
-    a residual system (where the whole matrix may be numerically zero) must
-    pass the natural scale of the data the matrix was built from; otherwise
-    rounding noise is mistaken for full rank.  A matrix at scale zero has
-    rank 0 and full kernel.
+    The cutoff is relative: singular values below ``RANK_TOL * max|m|`` are
+    treated as zero.  A zero matrix has rank 0 and full kernel.
 
-    The SVD is thin when ``m`` has at least as many rows as columns: ``vt``
-    is then square and already spans the whole null space, and the ``U`` of
-    a tall matrix (such as the 9x3 commutators of the Ricci stabilizer) is
-    built thin.  A wide matrix gets the full SVD, because its thin ``vt``
-    would drop null vectors.
+    A matrix with at least as many rows as columns gets the thin SVD, whose
+    square ``vt`` already spans the whole null space; a wide one the full
+    SVD, because its thin ``vt`` would drop null vectors.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     ncols = m.shape[1]
-    if scale is None:
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
     if scale <= 0.0:
         return 0, np.eye(ncols)
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < ncols)
@@ -90,32 +81,3 @@ def canonical_matrix_basis(mats: np.ndarray) -> np.ndarray:
     # the working rows keep being eliminated by later pivots, so normalizing
     # them only now yields a fully reduced (input-independent) basis
     return np.array([(rows[i] / rows[i, col]).reshape(3, 3) for col, i in pivots])
-
-
-def check_spd(gram: np.ndarray) -> np.ndarray:
-    """Validate a symmetric positive-definite Gram matrix.
-
-    The entries must be finite.  Symmetry is checked relative to the
-    magnitude of the entries; positive definiteness through the leading
-    principal minors.  Raises NonPositiveDefiniteError otherwise.  A matrix
-    that passes but is singular at ``RANK_TOL`` raises DegenerateFormError.
-    Returns the symmetrized matrix.
-    """
-    g = np.asarray(gram, dtype=float)
-    if g.shape != (3, 3):
-        raise NonPositiveDefiniteError(f"Gram matrix must be 3x3, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NonPositiveDefiniteError("Gram matrix has non-finite entries")
-    scale = max(float(np.max(np.abs(g))), 1.0)
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * scale:
-        raise NonPositiveDefiniteError("Gram matrix is not symmetric")
-    g = 0.5 * (g + g.T)
-    for k in range(1, 4):
-        if np.linalg.det(g[:k, :k]) <= 0.0:
-            raise NonPositiveDefiniteError(
-                f"Gram matrix is not positive definite (leading {k}x{k} minor <= 0)"
-            )
-    rank, _ = rank_and_kernel(g)
-    if rank < 3:
-        raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})")
-    return g

@@ -4,15 +4,15 @@ Every left-invariant metric on the groups handled here is isometric, via an
 automorphism, to one of a short catalog of Gram matrices in the (e0, e1, e2)
 basis.  ``metric_from_table`` builds those Gram matrices and validates the
 parameter ranges; arbitrary SPD Gram matrices can be wrapped with
-``inner_product_from_gram`` and flow through the generic machinery.
-``stratum_table`` gives the strata of each group: their boundary lines (the
-snap targets), keys and singular locus.
+``inner_product_from_gram``.  ``check_spd`` validates each Gram matrix once,
+when its ``InnerProduct`` is built.  ``stratum_table`` gives the strata of
+each group: their boundary lines (the snap targets), keys and singular locus.
 
 The Singer search space of a metric is decided in a g-orthonormal frame F,
 the Cholesky frame of its Gram matrix.  There so(g) is the constant so(3):
 ``skew_algebra`` writes it down in closed form, M_k = F E_k F^-1, and
-``intersect_skew`` keeps the rotations that commute with a symmetric form
-written in F (the Ricci form), with one rank decision per metric.
+``intersect_skew`` reads the stabilizer of the Ricci form off the
+eigenvalue multiplicities that ``ricci_clusters`` decides at ``RICCI_TOL``.
 
 Catalog (nu > 0 throughout):
 
@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
-from .errors import RangeError, UnsupportedFamilyError
-from .linalg import check_spd, rank_and_kernel
+from .errors import DegenerateFormError, NonPositiveDefiniteError, RangeError, UnsupportedFamilyError
+from .linalg import rank_and_kernel
 
 METRIC_NU = "g_nu"
 METRIC_MU_NU = "g_mu_nu"
@@ -49,6 +49,37 @@ METRIC_GRAM = "gram"
 #: A parameter closer than TOL_CASE to a stratum boundary (but not on it) is
 #: snapped onto the boundary.
 TOL_CASE = 1e-7
+
+#: Largest asymmetry |G - G^T| a Gram matrix may have, relative to max(1, max|G|).
+SYMMETRY_TOL = 1e-10
+
+#: Relative tolerance of the Ricci-spectrum decisions: eigenvalues within
+#: RICCI_TOL * max|lambda| of each other (or of zero) count as equal (or zero).
+RICCI_TOL = 1e-9
+
+
+def check_spd(gram: np.ndarray) -> np.ndarray:
+    """Validate a symmetric positive-definite Gram matrix and return it symmetrized.
+
+    The entries must be finite, symmetric relative to their magnitude and
+    have positive leading principal minors, or NonPositiveDefiniteError is
+    raised.  A matrix singular at ``RANK_TOL`` raises DegenerateFormError.
+    """
+    g = np.asarray(gram, dtype=float)
+    if g.shape != (3, 3):
+        raise NonPositiveDefiniteError(f"Gram matrix must be 3x3, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NonPositiveDefiniteError("Gram matrix has non-finite entries")
+    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(float(np.max(np.abs(g))), 1.0):
+        raise NonPositiveDefiniteError("Gram matrix is not symmetric")
+    g = 0.5 * (g + g.T)
+    for k in range(1, 4):
+        if np.linalg.det(g[:k, :k]) <= 0.0:
+            raise NonPositiveDefiniteError(f"Gram matrix is not positive definite (leading {k}x{k} minor <= 0)")
+    rank, _ = rank_and_kernel(g)
+    if rank < 3:
+        raise DegenerateFormError(f"symmetric form is degenerate (rank {rank})")
+    return g
 
 
 @dataclass(frozen=True)
@@ -311,7 +342,7 @@ def metric_from_table(
 
 
 #: A basis of so(3), orthonormal for the Frobenius inner product:
-#: SO3_BASIS[k] rotates the plane of the two axes other than e_k.
+#: SO3_BASIS[k] = [e_k]x / sqrt(2), the rotation about the axis e_k.
 SO3_BASIS = np.array([
     [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
     [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
@@ -333,21 +364,35 @@ def skew_algebra(frames: np.ndarray, grams: np.ndarray) -> np.ndarray:
     return (frames[:, None] @ SO3_BASIS) @ inverse[:, None]
 
 
-def intersect_skew(algebras: np.ndarray, forms: np.ndarray) -> list[np.ndarray]:
-    """The stabilizer of a symmetric form in so(g), one basis (k, 3, 3) per metric of a stack.
+def ricci_clusters(evals: np.ndarray) -> tuple[int, int, float]:
+    """(multiplicity, simple, tol) of an ascending Ricci spectrum, tol = RICCI_TOL * max|lambda|.
 
-    ``algebras`` (n, 3, 3, 3) holds the bases M_k = F E_k F^-1 of
-    ``skew_algebra``, and ``forms`` (n, 3, 3) each form S written in the
-    same frame F (S = F^T Ric F for a Ricci form).  There, M_k preserves the
-    form when E_k commutes with S, so each metric makes one rank decision:
-    the 9x3 matrix with columns vec(S E_k - E_k S), at the scale max|S|.
-    Its kernel combines the rows of that metric's so(g) basis.
+    The multiplicity is 3 when the spread is within tol, 2 when the smaller
+    gap is, and 1 otherwise; ``simple`` is the index (0 or 2) of the
+    eigenvalue across the larger gap, the one outside a double pair.
     """
-    forms = np.asarray(forms, dtype=float)
-    commutators = (forms[:, None] @ SO3_BASIS - SO3_BASIS @ forms[:, None]).reshape(-1, 3, 9)
-    scales = np.max(np.abs(forms), axis=(1, 2))
+    tol = RICCI_TOL * float(np.max(np.abs(evals)))
+    low, high = evals[1] - evals[0], evals[2] - evals[1]
+    multiplicity = 3 if evals[2] - evals[0] <= tol else 2 if min(low, high) <= tol else 1
+    return multiplicity, 2 if low <= high else 0, tol
+
+
+def intersect_skew(algebras: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list[np.ndarray]:
+    """The stabilizer of the Ricci form in so(g), one basis (k, 3, 3) per metric of a stack.
+
+    ``algebras`` (n, 3, 3, 3) holds the bases M_k = F E_k F^-1 of ``skew_algebra``,
+    ``evals`` (n, 3) and ``evecs`` (n, 3, 3) the Ricci spectra in the frame F.
+    By ``ricci_clusters``, a triple eigenvalue keeps all of so(g), distinct ones
+    none, and a double one the rotation sum_k w_k M_k about the simple
+    eigenvector w: sum_k w_k E_k = [w]x / sqrt(2) commutes with the form.
+    """
     spaces = []
-    for algebra, comm, scale in zip(algebras, commutators, scales):
-        _, kernel = rank_and_kernel(comm.T, scale=float(scale))
-        spaces.append((kernel @ algebra.reshape(3, 9)).reshape(-1, 3, 3))
+    for algebra, spectrum, vectors in zip(algebras, evals, evecs):
+        multiplicity, simple, _ = ricci_clusters(spectrum)
+        if multiplicity == 3:
+            spaces.append(algebra)
+        elif multiplicity == 2:
+            spaces.append(np.tensordot(vectors[:, simple], algebra, axes=1)[None])
+        else:
+            spaces.append(np.zeros((0, 3, 3)))
     return spaces

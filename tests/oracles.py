@@ -7,9 +7,11 @@ that is the reference for the constant-curvature decision of
 ``lieiso.isometry.classify_isometry_group``, and the e-frame Singer search
 space (so(g) and the Ricci stabilizer each solved as a 9x9 operator, then
 intersected) with the Singer solve on it, the reference for
-``lieiso.metrics.skew_algebra`` and ``intersect_skew``, and the pairwise
-Killing bracket, the reference for the batched brackets of
-``lieiso.isometry.killing_algebra``.  They check
+``lieiso.metrics.skew_algebra`` and ``intersect_skew``, the 9x3 rank
+decision on the commutators in the g-orthonormal frame, the reference for
+the stabilizer dimension that ``intersect_skew`` reads off the Ricci
+spectrum, and the pairwise Killing bracket, the reference for the batched
+brackets of ``lieiso.isometry.killing_algebra``.  They check
 ``lieiso.groups``, ``lieiso.metrics`` and ``lieiso.isometry`` from outside;
 nothing in the package calls them.
 
@@ -21,7 +23,8 @@ import numpy as np
 from lieiso.curvature import so_action
 from lieiso.groups import left_frame, metric_field, numeric_curvature, phi
 from lieiso.isometry import _normalize_isotropy
-from lieiso.linalg import canonical_matrix_basis, rank_and_kernel
+from lieiso.linalg import RANK_TOL, canonical_matrix_basis, rank_and_kernel
+from lieiso.metrics import SO3_BASIS
 
 
 def multiply(alg, p, q):
@@ -149,6 +152,31 @@ def singer_isotropy(gram, tensors, ric):
     return solve_singer(singer_search_space(gram, ric), tensors)
 
 
+def kernel_at_scale(m, scale):
+    """Null space (rows) of a tall matrix, at the cutoff RANK_TOL * ``scale``.
+
+    A residual system may be rounding noise as a whole, so its cutoff is
+    taken at the scale of the data it was built from, not at max|m|.
+    """
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    return vt[int(np.sum(s > RANK_TOL * scale)):]
+
+
+def frame_stabilizer(algebra, form):
+    """The stabilizer (k, 3, 3) of a form S in so(g), by one 9x3 rank decision.
+
+    ``algebra`` (3, 3, 3) holds the basis M_k = F E_k F^-1 of
+    ``lieiso.metrics.skew_algebra`` and ``form`` S, written in the same frame
+    F.  M_k fixes S when E_k commutes with it, so the kernel of the 9x3
+    matrix of columns vec(S E_k - E_k S), at the scale max|S|, combines the
+    M_k; its singular values are the gaps between the eigenvalues of S.
+    """
+    form = np.asarray(form, dtype=float)
+    comm = form @ SO3_BASIS - SO3_BASIS @ form
+    kernel = kernel_at_scale(comm.reshape(3, 9).T, float(np.max(np.abs(form))))
+    return (kernel @ algebra.reshape(3, 9)).reshape(-1, 3, 3)
+
+
 def solve_singer(space, tensors):
     """The isotropy basis within a search space (k, 3, 3), one metric at a time.
 
@@ -159,7 +187,7 @@ def solve_singer(space, tensors):
         return np.zeros((0, 3, 3))
     blocks = [np.stack([so_action(m, t).ravel() for m in space], axis=1) for t in tensors]
     scale = max(float(np.max(np.abs(t))) for t in tensors) * float(np.max(np.abs(space)))
-    _, kernel = rank_and_kernel(np.vstack(blocks), scale=scale)
+    kernel = kernel_at_scale(np.vstack(blocks), scale)
     if len(kernel) == 0:
         return np.zeros((0, 3, 3))
     return _normalize_isotropy(canonical_matrix_basis(np.einsum("ks,sij->kij", kernel, space)))

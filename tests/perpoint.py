@@ -10,8 +10,8 @@ test, the per-point Ricci spectrum and the per-point analysis.
 import numpy as np
 
 from lieiso.isometry import PARALLEL_TOL, MetricAnalysis, _normalize_isotropy
-from lieiso.linalg import RANK_TOL, canonical_matrix_basis, rank_and_kernel
-from lieiso.metrics import SO3_BASIS
+from lieiso.linalg import RANK_TOL, canonical_matrix_basis
+from lieiso.metrics import SO3_BASIS, ricci_clusters
 
 
 def levi_civita(alg, g):
@@ -62,14 +62,17 @@ def skew_algebra(linv, gram):
     return np.stack([(frame @ e) @ inverse for e in SO3_BASIS])
 
 
-def intersect_skew(algebra, form):
-    comm = np.stack([form @ e - e @ form for e in SO3_BASIS])
-    _, kernel = rank_and_kernel(comm.reshape(3, 9).T, scale=float(np.max(np.abs(form))))
-    return (kernel @ algebra.reshape(3, 9)).reshape(-1, 3, 3)
+def intersect_skew(algebra, evals, evecs):
+    multiplicity, simple, _ = ricci_clusters(evals)
+    if multiplicity == 3:
+        return algebra
+    if multiplicity == 2:
+        return np.tensordot(evecs[:, simple], algebra, axes=1)[None]
+    return np.zeros((0, 3, 3))
 
 
-def singer_isotropy(g, linv, sym, tensors):
-    space = intersect_skew(skew_algebra(linv, g.coeffs), sym)
+def singer_isotropy(g, linv, evals, evecs, tensors):
+    space = intersect_skew(skew_algebra(linv, g.coeffs), evals, evecs)
     if len(space) == 0:
         return np.zeros((0, 3, 3))
     blocks = [
@@ -109,5 +112,5 @@ def analyze_metric(alg, g):
         ricci_axes=linv.T @ evecs,
         scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
         symmetric=float(np.max(np.abs(nabla_r))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(curv)))),
-        isotropy=singer_isotropy(g, linv, sym, (curv, nabla_r, nabla2_r)),
+        isotropy=singer_isotropy(g, linv, evals, evecs, (curv, nabla_r, nabla2_r)),
     )

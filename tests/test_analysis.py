@@ -128,41 +128,42 @@ def test_shared_analysis_gives_the_same_answers(monkeypatch):
 
 
 def test_rank_decisions_of_an_isotropy_zero_report(monkeypatch):
-    # one decision on the Gram matrix, when the metric is built; the report
-    # decides the stabilizer of the Ricci form in so(g) (empty here, so no
-    # Singer test) and the index
+    # one decision on the Gram matrix, when the metric is built, and one on
+    # the index; the stabilizer of the Ricci form (empty here, so no Singer
+    # test) is read off the spectrum
     alg = make_algebra_c(4.0)
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
     g = metric_from_table(alg, mu=2.0, nu=1.0)
     assert len(calls) == 1
     report = build_report(alg, g)
     assert report["isometry"]["isotropy_dim"] == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_rank_decisions_of_an_isotropic_report(monkeypatch):
-    # the Gram matrix, the Ricci stabilizer (all of so(g) here, kept whole by
-    # the Singer residual test, which decides no rank) and the index
+    # the Gram matrix and the index; the Ricci stabilizer (all of so(g) here)
+    # is read off the spectrum and kept whole by the Singer residual test,
+    # and neither decides a rank
     alg = make_algebra_I()
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
     g = metric_from_table(alg, nu=1.5)
     report = build_report(alg, g)
     assert report["isometry"]["isotropy_dim"] == 3
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [1, 4])
-def test_skew_algebra_makes_one_rank_decision_per_form(monkeypatch, n):
-    # so(g) comes in closed form with no rank decision; the stabilizer of
-    # each Ricci form in it takes one
+def test_skew_algebra_and_its_stabilizers_make_no_rank_decision(monkeypatch, n):
+    # so(g) comes in closed form, and the stabilizer of each Ricci form in
+    # it is read off the eigenvalue multiplicities
     grams = np.stack([np.diag([1.0, 1.0 + k, 2.0]) for k in range(n)])
     frames = np.swapaxes(np.linalg.inv(np.linalg.cholesky(grams)), -1, -2)
     forms = np.stack([np.diag([-1.0, -2.0 - k, -3.0]) for k in range(n)])
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
     algebras = skew_algebra(frames, grams)
     assert algebras.shape == (n, 3, 3, 3)
+    evals, evecs = np.linalg.eigh(forms)
+    assert [len(s) for s in intersect_skew(algebras, evals, evecs)] == [1 if k == 1 else 0 for k in range(n)]
     assert calls == []
-    assert [len(s) for s in intersect_skew(algebras, forms)] == [1 if k == 1 else 0 for k in range(n)]
-    assert len(calls) == n
 
 

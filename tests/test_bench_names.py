@@ -73,8 +73,8 @@ def _verify_metrics():
 def test_each_workload_reaches_rank_and_kernel_through_metrics(monkeypatch, op):
     # The traced run's self-test unwraps the binding of rank_and_kernel in
     # lieiso.metrics and needs the first operation of every workload to
-    # reach it there: intersect_skew decides the Ricci stabilizer of every
-    # metric through that binding.
+    # reach it there: check_spd decides the rank of every Gram matrix
+    # through that binding when its metric is built.
     calls = []
     original = metrics.rank_and_kernel
 

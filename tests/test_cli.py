@@ -238,7 +238,7 @@ def test_non_finite_input_is_rejected(capsys, argv, code):
         # the metric mu = 3.9999999 of the catalog, unsnapped
         (["--c", "4", "--gram", "1", "1", "0", "1", "3.9999999", "0", "0", "0", "1.5"], 0, "TranslationsOnly"),
         # 1e-10 off the line, the parallel-curvature decision and the Singer
-        # rank disagree
+        # residual test disagree
         (["--c", "2", "--gram", "1", "1.0000000001", "0", "1.0000000001", "2", "0", "0", "0", "0.3"],
          1, "a symmetric metric cannot have trivial isotropy here"),
         (["--c", "2", "--gram", "1", "1.000000001", "0", "1.000000001", "2", "0", "0", "0", "0.3"],
@@ -247,8 +247,9 @@ def test_non_finite_input_is_rejected(capsys, argv, code):
         # search space once found an isotropy that did not close
         (["--c", "2", "--gram", "1", "1.000000002", "0", "1.000000002", "2", "0", "0", "0", "0.3"],
          0, "TranslationsOnly"),
-        # the Ricci spread is within RICCI_TOL, but the Singer rank finds no
-        # isotropy; once printed a constant curvature beside TranslationsOnly
+        # the Ricci spread is within RICCI_TOL, but the Singer residual test
+        # drops the stabilizer; once printed a constant curvature beside
+        # TranslationsOnly
         (["--c", "2", "--gram", "1", "1.0000000002", "0", "1.0000000002", "2", "0", "0", "0", "0.3"],
          1, "constant curvature must give the full index"),
     ],
@@ -280,36 +281,27 @@ def test_no_constant_curvature_from_curvatures_near_zero(capsys):
     "argv,code,error",
     [
         # extreme mu at c = 0
-        (["--c", "0", "--mu", "1e-8", "--nu", "1"], 1,
-         "Killing algebra does not close on its generators (residual 5.960e-08)"),
+        (["--c", "0", "--mu", "1e-8", "--nu", "1"], 1, "index of symmetry 2 is impossible in this family"),
         (["--c", "0", "--mu", "1e-6", "--nu", "1"], 1, "index of symmetry 2 is impossible in this family"),
         (["--c", "0", "--mu", "1e-5", "--nu", "1"], 1, "index of symmetry 2 is impossible in this family"),
-        (["--c", "0", "--mu", "1e4", "--nu", "1e8"], 1,
-         "Killing algebra does not close on its generators (residual 2.980e-08)"),
-        (["--c", "0", "--mu", "1e8", "--nu", "1e8"], 1,
-         "Killing algebra does not close on its generators (residual 8.941e-08)"),
+        # the absolute CERTIFICATE_TOL against isotropy entries of about 1e8
+        # and, on the SO(3,1) line at nu = 1e7, about 1.3e7
+        (["--c", "0", "--mu", "1e8", "--nu", "1e8"], 1, "symmetry certificate residual 3.756e-09 too large"),
+        (["--c", "4", "--mu", "4", "--nu", "1e7"], 1, "symmetry certificate residual 4.381e-09 too large"),
         # nu is only a homothety, yet extreme nu fails
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e-9"], 3, "symmetric form is degenerate (rank 2)"),
         (["--c", "0.25", "--mu", "0.5", "--nu", "1e-7"], 1, "symmetry certificate residual 3.749e-09 too large"),
-        (["--c", "0.6", "--mu", "0.5", "--nu", "1e-8"], 1,
-         "Killing algebra does not close on its generators (residual 1.490e-08)"),
-        (["--c", "0.25", "--mu", "0.5", "--nu", "1e9"], 3, "symmetric form is degenerate (rank 2)"),
-        (["--c=-2", "--mu", "2e-6", "--nu", "1e-8"], 1,
-         "Killing algebra does not close on its generators (residual 5.821e-03)"),
-        (["--family", "I", "--nu", "1e8"], 1,
-         "Killing algebra does not close on its generators (residual 1.490e-08)"),
-        # the branch points c -> 0 and c -> 1
-        (["--c", "1e-6", "--mu", "0.5", "--nu", "1"], 3, "symmetric form is degenerate (rank 1)"),
-        (["--c", "0.999999999", "--mu", "0.9999999995", "--nu", "1"], 3, "Gram matrix is not symmetric"),
-        (["--c", "1.000000001", "--mu", "1", "--nu", "1"], 3, "symmetric form is degenerate (rank 2)"),
-        # Gram matrices singular at the rank cutoff
+        # a Gram matrix singular at the rank cutoff in its nu entry
         (["--c", "0", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-10"], 3,
          "symmetric form is degenerate (rank 2)"),
+        (["--c", "0.25", "--mu", "0.5", "--nu", "1e9"], 3, "symmetric form is degenerate (rank 2)"),
+        # and in its mu entry
         (["--c", "0", "--gram", "1", "0", "0", "0", "1e-10", "0", "0", "0", "1"], 3,
          "symmetric form is degenerate (rank 2)"),
-        # the SO(3,1) line at nu = 1e7: the absolute CERTIFICATE_TOL against
-        # isotropy entries of about 1.3e7 (nu = 1e8 fails the closure)
-        (["--c", "4", "--mu", "4", "--nu", "1e7"], 1, "symmetry certificate residual 2.224e-09 too large"),
+        # the branch points c -> 1 and c -> 0
+        (["--c", "1.000000001", "--mu", "1", "--nu", "1"], 3, "symmetric form is degenerate (rank 2)"),
+        (["--c", "1e-6", "--mu", "0.5", "--nu", "1"], 3, "symmetric form is degenerate (rank 1)"),
+        (["--c", "0.999999999", "--mu", "0.9999999995", "--nu", "1"], 3, "Gram matrix is not symmetric"),
     ],
 )
 def test_outcomes_of_in_range_inputs_that_still_fail(capsys, argv, code, error):
@@ -333,14 +325,20 @@ def test_outcomes_of_in_range_inputs_that_still_fail(capsys, argv, code, error):
         (["--c", "4", "--mu", "1.000003", "--nu", "1"], "TranslationsOnly", 0),
         (["--c", "0.25", "--mu", "0", "--nu", "1e-7"], "TranslationsOnly", 1),
         (["--c=-2", "--mu", "2e-7", "--nu", "1e-8"], "TranslationsOnly", 0),
+        (["--c", "0", "--mu", "1e4", "--nu", "1e8"], "Product_SO2", 1),
+        (["--c", "0.6", "--mu", "0.5", "--nu", "1e-8"], "TranslationsOnly", 0),
+        (["--c=-2", "--mu", "2e-6", "--nu", "1e-8"], "TranslationsOnly", 0),
+        (["--family", "I", "--nu", "1e8"], "SO31", 3),
     ],
 )
 def test_outcomes_of_in_range_inputs_that_once_failed(capsys, argv, tag, index):
     # These failed the Killing closure check while the Singer search space
-    # was solved in the e-frame (the first five) or while the brackets were
-    # formed pair by pair from a recomputed copy of the connection (the last
-    # three); each classifies as its stratum says.
-    got, out, err = run_cli(capsys, "classify", "--json", "--family", "c", *argv)
+    # was solved in the e-frame (the first five), while the brackets were
+    # formed pair by pair from a recomputed copy of the connection (the next
+    # three) or while the closure test was absolute (the last four); each
+    # classifies as its stratum says.
+    family = [] if argv[0] == "--family" else ["--family", "c"]
+    got, out, err = run_cli(capsys, "classify", "--json", *family, *argv)
     assert got == 0 and err == ""
     report = json.loads(out)
     assert report["isometry"]["group_tag"] == tag
@@ -478,13 +476,13 @@ def test_verify_passes(capsys):
 
 @pytest.mark.parametrize("mu,nu", [("1e-8", "1"), ("1e8", "1e8")], ids=["1e-8", "1e8"])
 def test_internal_consistency_failure_is_reported_cleanly(capsys, mu, nu):
-    # These in-range inputs still fail the Killing closure check; the CLI
-    # reports the failure as an error line with exit 1, not a traceback.
+    # These in-range inputs still fail an internal consistency check; the
+    # CLI reports the failure as one error line with exit 1, not a traceback.
     code, out, err = run_cli(capsys, "classify", "--family", "c", "--c", "0",
                              "--mu", mu, "--nu", nu)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: Killing algebra does not close")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_test_and_symbolic_packages_unloaded():

@@ -4,9 +4,10 @@ At c = -2, 0, 0.25 and 4, mu and nu run over the decades (mu as the
 distance from the lower end of its range where that end is not 0, plus the
 boundary lines).  Every input whose metric builds must either classify to
 the (isometry group, index of symmetry) that the paper's table gives its
-stratum, or raise a LieIsoError; none may print a wrong answer.  Its
-isotropy must have the dimension that the SVD solve of ``oracles`` finds on
-the same Ricci stabilizer.
+stratum, or raise a LieIsoError; none may print a wrong answer.  Its Ricci stabilizer,
+read off the spectrum, must have the dimension of the 9x3 rank decision of
+``oracles``, and its isotropy (0, 1 or 3) the dimension that the SVD solve
+of ``oracles`` finds on that reference stabilizer.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from lieiso.errors import LieIsoError
 from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
 from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra, stratum_table
 from lieiso.symmetry import index_of_symmetry
-from oracles import solve_singer
+from oracles import frame_stabilizer, solve_singer
 
 DECADES = [10.0 ** k for k in range(-8, 9)]
 
@@ -38,7 +39,7 @@ EXPECTED = {
 
 #: Least number of built inputs per c that classify (right); the rest fail at
 #: extreme scales (ROADMAP item 2).  A change that raises on more of them shows.
-CLASSIFIED = {-2.0: 101, 0.0: 188, 0.25: 128, 4.0: 105}
+CLASSIFIED = {-2.0: 125, 0.0: 195, 0.25: 128, 4.0: 140}
 
 MU = {
     -2.0: [2.0 * d for d in DECADES if d <= 1.0],
@@ -94,8 +95,9 @@ def test_decade_sweep_classifies_right_or_raises(c):
 
 @pytest.mark.parametrize("c", sorted(MU))
 def test_decade_sweep_isotropy_has_the_dimension_of_the_svd_solve(c):
-    # the residual test keeps the whole Ricci stabilizer or none of it; the
-    # oracle solves the Singer system on that stabilizer by SVD rank and kernel
+    # the stabilizer read off the Ricci spectrum against the 9x3 rank
+    # decision; the residual test keeps the whole stabilizer or none of it,
+    # against the SVD solve of the Singer system on the reference stabilizer
     alg = make_algebra_c(c)
     gs = _metrics(alg, c)
     grams = np.stack([g.coeffs for g in gs])
@@ -106,9 +108,12 @@ def test_decade_sweep_isotropy_has_the_dimension_of_the_svd_solve(c):
     frames = np.swapaxes(linv, -1, -2)
     forms = linv @ np.stack([a.ric for a in analyses]) @ frames
     forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
-    spaces = intersect_skew(skew_algebra(frames, grams), forms)
-    mismatched = [
-        g.params for n, (g, a, space) in enumerate(zip(gs, analyses, spaces))
-        if len(a.isotropy) != len(solve_singer(space, [t[n] for t in tensors]))
-    ]
+    evals, evecs = np.linalg.eigh(forms)
+    algebras = skew_algebra(frames, grams)
+    mismatched = []
+    for n, (g, a, space) in enumerate(zip(gs, analyses, intersect_skew(algebras, evals, evecs))):
+        reference = frame_stabilizer(algebras[n], forms[n])
+        isotropy = solve_singer(reference, [t[n] for t in tensors])
+        if len(space) != len(reference) or len(a.isotropy) not in (0, 1, 3) or len(a.isotropy) != len(isotropy):
+            mismatched.append(g.params)
     assert mismatched == []

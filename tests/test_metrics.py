@@ -10,8 +10,10 @@ from lieiso.metrics import (
     METRIC_MU_NU,
     METRIC_NU,
     inner_product_from_gram,
+    RICCI_TOL,
     intersect_skew,
     metric_from_table,
+    ricci_clusters,
     skew_algebra,
     snap_parameters,
     stratum_table,
@@ -201,25 +203,73 @@ def test_skew_algebra_dimension_three_for_random_spd(entries):
     assert len(oracles.skew_algebra(gram)) == 3
 
 
+GRAM = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
+FRAME = np.linalg.inv(np.linalg.cholesky(GRAM)).T
+
+
+def _stabilizer(spectrum, seed):
+    """A form with this spectrum in a random g-orthonormal frame of GRAM, its
+    eigendecomposition, so(g) and the stabilizer read off the spectrum."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    form = q @ np.diag(spectrum) @ q.T
+    evals, evecs = np.linalg.eigh(form)
+    algebra = skew_algebra(FRAME[None], GRAM[None])
+    return form, evals, evecs, algebra[0], intersect_skew(algebra, evals[None], evecs[None])[0]
+
+
 @pytest.mark.parametrize("spectrum,dim", [
     ((1.0, 2.0, 3.0), 0), ((-2.0, -2.0, 5.0), 1), ((0.0, -1.0, -1.0), 1), ((-4.0, -4.0, -4.0), 3),
 ])
 def test_stabilizer_dimension_follows_the_eigenvalue_multiplicities(spectrum, dim):
-    # a form with these eigenvalues in a random g-orthonormal frame
-    rng = np.random.default_rng(5)
-    gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.7]])
-    frame = np.linalg.inv(np.linalg.cholesky(gram)).T
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    form = q @ np.diag(spectrum) @ q.T
-    space = intersect_skew(skew_algebra(frame[None], gram[None]), form[None])[0]
+    form, _, _, algebra, space = _stabilizer(spectrum, 5)
     assert len(space) == dim
+    assert len(oracles.frame_stabilizer(algebra, form)) == dim
     # the same space as so(g) ∩ so(Ric), with Ric = F^-T S F^-1 in the e-frame
-    finv = frame.T @ gram
+    finv = FRAME.T @ GRAM
     ric = finv.T @ form @ finv
-    want = oracles.singer_search_space(gram, ric)
+    want = oracles.singer_search_space(GRAM, ric)
     assert len(want) == dim
     if dim:
         assert oracles.span_sine(space, want) <= 1e-12
+
+
+# tol = RICCI_TOL * 4 = 4e-9 for each spectrum below but the last three
+CLUSTER_CASES = [
+    ((-4.0, -4.0, -4.0), 3),
+    ((-4.0, -4.0 + 1e-9, -4.0 + 3e-9), 3),
+    # spread 5.5e-9 is between tol and 2 tol, but both gaps are within tol
+    ((-4.0, -4.0 + 2e-9, -4.0 + 5.5e-9), 2),
+    ((-4.0, -4.0 + 5e-9, -4.0 + 1e-8), 1),
+    ((-2.0, -2.0, 5.0), 2),
+    ((-5.0, 1.0, 1.0), 2),
+    ((1.0, 2.0, 3.0), 1),
+]
+
+
+@pytest.mark.parametrize("spectrum,multiplicity", CLUSTER_CASES)
+def test_ricci_clusters_group_the_eigenvalues_at_ricci_tol(spectrum, multiplicity):
+    got, simple, tol = ricci_clusters(np.array(spectrum))
+    assert got == multiplicity
+    assert tol == RICCI_TOL * max(abs(x) for x in spectrum)
+    if multiplicity == 2:
+        # the simple eigenvalue is the one across the larger gap
+        gaps = np.diff(spectrum)
+        assert simple == (2 if gaps[0] <= gaps[1] else 0)
+
+
+@pytest.mark.parametrize("spectrum,multiplicity", CLUSTER_CASES)
+def test_stabilizer_is_read_off_the_clusters(spectrum, multiplicity):
+    _, evals, evecs, algebra, space = _stabilizer(spectrum, 11)
+    assert len(space) == {3: 3, 2: 1, 1: 0}[multiplicity]
+    if multiplicity == 3:
+        assert np.array_equal(space, algebra)
+    if multiplicity == 2:
+        # in the frame, a unit rotation about the simple eigenvector
+        rotation = FRAME.T @ GRAM @ space[0] @ FRAME
+        simple = evecs[:, ricci_clusters(evals)[1]]
+        np.testing.assert_allclose(rotation, -rotation.T, atol=1e-15)
+        np.testing.assert_allclose(rotation @ simple, np.zeros(3), atol=1e-15)
+        assert abs(np.linalg.norm(rotation) - 1.0) <= 1e-15
 
 
 def test_snap_tries_the_singular_line_first():

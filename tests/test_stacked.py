@@ -5,8 +5,9 @@ field of every MetricAnalysis is compared with ``np.array_equal`` and with
 equal sign bits, so that a zero of the other sign counts as a difference.
 The constant-curvature decision read off the stacked Ricci spectrum is also
 checked, on the same scan points, against the six-plane probe of ``oracles``,
-and the Singer search space decided in the g-orthonormal frame against the
-e-frame intersection so(g) ∩ so(Ric) of ``oracles``.
+and the Singer search space read off the Ricci spectrum against the 9x3
+rank decision in the g-orthonormal frame and the e-frame intersection
+so(g) ∩ so(Ric) of ``oracles``.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from lieiso.errors import DegenerateFormError, RangeError
 from lieiso.isometry import analyze_metrics, classify_isometry_group
 from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra
 from lieiso.symmetry import analyze_catalog_points, scan_moduli
-from oracles import constant_sectional, singer_isotropy, singer_search_space, span_sine
+from oracles import constant_sectional, frame_stabilizer, singer_isotropy, singer_search_space, span_sine
 
 GROUPS = DEFAULT_GROUPS + [(FAMILY_C, -0.7), (FAMILY_C, 0.81), (FAMILY_C, 5.5)]
 FIELDS = ("conn", "curv", "nabla_r", "ric", "ricci_eigenvalues", "ricci_axes", "scalar",
@@ -82,12 +83,15 @@ def test_search_space_agrees_with_the_e_frame_intersection(family, c):
     analyses = analyze_metrics(alg, gs)
     forms = linv @ np.stack([a.ric for a in analyses]) @ frames
     forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
-    spaces = intersect_skew(skew_algebra(frames, grams), forms)
+    evals, evecs = np.linalg.eigh(forms)
+    algebras = skew_algebra(frames, grams)
+    spaces = intersect_skew(algebras, evals, evecs)
     for n, (g, a, space) in enumerate(zip(gs, analyses, spaces)):
         label = f"{family} c={c} point {n}"
+        assert len(space) == len(frame_stabilizer(algebras[n], forms[n])), label
         want = singer_search_space(g.coeffs, a.ric)
         assert len(space) == len(want), label
-        assert span_sine(space, want) <= 1e-9, label
+        assert span_sine(space, want) <= 1e-14, label
         tensors = (a.curv, a.nabla_r, perpoint.covariant_derivative(a.nabla_r, a.conn))
         assert len(a.isotropy) == len(singer_isotropy(g.coeffs, tensors, a.ric)), label
 
