@@ -23,7 +23,6 @@ from .algebra import (
 from .curvature import (
     covariant_derivative,
     curvature,
-    curvature_derivatives,
     levi_civita,
     ricci,
     scalar_curvature,
@@ -95,7 +94,6 @@ __all__ = [
     "classify_isometry_group",
     "covariant_derivative",
     "curvature",
-    "curvature_derivatives",
     "custom_algebra",
     "index_of_symmetry",
     "inner_product_from_gram",

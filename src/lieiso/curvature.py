@@ -110,14 +110,6 @@ def covariant_derivative(t: np.ndarray, conn: np.ndarray) -> np.ndarray:
     return out
 
 
-def curvature_derivatives(conn: np.ndarray, alg: LieAlgebra3) -> list[np.ndarray]:
-    """[R, nabla R, nabla^2 R]: the curvature data the Singer conditions need."""
-    tensors = [curvature(conn, alg)]
-    for _ in range(2):
-        tensors.append(covariant_derivative(tensors[-1], conn))
-    return tensors
-
-
 def metric_compatibility_defect(conn: np.ndarray, g: InnerProduct) -> float:
     """Max norm of L(e_i)^T G + G L(e_i); zero for a metric connection."""
     gram = g.coeffs

@@ -13,13 +13,15 @@ three Killing fields with B = L(v), the connection endomorphism of v (by
 torsion-freeness), so r_i is (e_i, conn[i]); isotropy Killing fields have
 v = 0 and B solving the Singer conditions
 
-    B . R = 0,  B . (nabla R) = 0,  B . (nabla^2 R) = 0,
+    B . R = 0,  B . (nabla R) = 0.
 
-which in dimension 3 (where n(n-1)/2 = 3) already certify integrability.
-Every solution B stabilizes the Ricci form.  In dimension 3, R is fixed by
-Ric and g, and that stabilizer in so(g) has dimension 0, 1 or 3, read off
-the Ricci eigenvalue multiplicities (``metrics.ricci_clusters``); the
-isotropy is all of it or none of it, so one residual test keeps or drops it.
+The stabilizers g_k in so(g) of R, ..., nabla^k R stop changing once
+g_k = g_{k+1}, and the isotropy is where they stop (Singer 1960).  In
+dimension 3, g_0 stabilizes the Ricci form (R is fixed by Ric and g) and
+has dimension 0, 1 or 3: so(g) means constant curvature and nabla R = 0;
+from a line, g_1 is it or 0.  Either way g_2 = g_1 is the isotropy.  g_0
+is read off the Ricci multiplicities (``metrics.ricci_clusters``), and one
+residual test keeps it or drops it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3
-from .curvature import curvature_derivatives, levi_civita, ricci, scalar_curvature, so_action
+from .curvature import covariant_derivative, curvature, levi_civita, ricci, scalar_curvature, so_action
 from .errors import InternalConsistencyError, UnsupportedFamilyError
 from .linalg import PIVOT_TOL, RANK_TOL, canonical_matrix_basis
 from .metrics import RICCI_TOL, InnerProduct, intersect_skew, ricci_clusters, skew_algebra
@@ -64,17 +66,17 @@ def singer_isotropy(
     frames: np.ndarray,
     evals: np.ndarray,
     evecs: np.ndarray,
-    tensors: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tensors: tuple[np.ndarray, np.ndarray],
 ) -> list[np.ndarray]:
     """Basis (k, 3, 3) of the isotropy algebra of each metric of a stack, canonically normalized.
 
     ``grams`` (n, 3, 3) are the Gram matrices, ``frames`` g-orthonormal
     frames F, ``evals`` (n, 3) and ``evecs`` (n, 3, 3) the spectra of the
-    Ricci forms F^T Ric F, and ``tensors`` the stacked (R, nabla R,
-    nabla^2 R), all with the same leading axis.  ``skew_algebra`` gives so(g)
+    Ricci forms F^T Ric F, and ``tensors`` the stacked (R, nabla R), all
+    with the same leading axis.  ``skew_algebra`` gives so(g)
     in closed form and ``intersect_skew`` the stabilizer of the Ricci form in
     it, read off the spectrum.  That stabilizer is kept whole when the
-    largest singular value of its action on the three tensors is at most
+    largest singular value of its action on the two tensors is at most
     RANK_TOL * max|T| * max|stabilizer entry|, and dropped otherwise.  The
     so(3) action runs once per tensor for the stack.
     """
@@ -119,11 +121,12 @@ class MetricAnalysis:
     (columns: g-orthonormal eigenvectors in the e-frame) are the spectrum of
     Ric relative to g, and ``scalar`` its trace; ``isotropy`` is the Singer
     isotropy basis (k, 3, 3).  ``conn[i]`` is also the derivative B of the
-    right-invariant field of value e_i.
+    right-invariant field of value e_i.  ``frame`` is the Cholesky frame F.
     """
 
     alg: LieAlgebra3
     g: InnerProduct
+    frame: np.ndarray
     conn: np.ndarray
     curv: np.ndarray
     nabla_r: np.ndarray
@@ -153,11 +156,11 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     The Gram matrices of ``gs`` are stacked and each kernel runs once for the
     whole stack; the result holds one MetricAnalysis per metric, in order,
     each equal bit for bit to the analysis of that metric in a stack of one.
-    nabla^2 R enters the Singer residual test only and is not kept.
     """
     grams = np.stack([g.coeffs for g in gs])
     conn = levi_civita(alg, grams)
-    curv, nabla_r, nabla2_r = curvature_derivatives(conn, alg)
+    curv = curvature(conn, alg)
+    nabla_r = covariant_derivative(curv, conn)
     ric = ricci(curv)
     # generalized eigenproblem Ric v = lambda G v, in the g-orthonormal frame
     # F = L^-T of the Cholesky factor G = L L^T, where Ric becomes sym
@@ -168,13 +171,14 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     evals, evecs = np.linalg.eigh(sym)
     axes = frames @ evecs
     scalar = scalar_curvature(ric, grams)
-    isotropy = singer_isotropy(grams, frames, evals, evecs, (curv, nabla_r, nabla2_r))
+    isotropy = singer_isotropy(grams, frames, evals, evecs, (curv, nabla_r))
     analyses = []
     for n, g in enumerate(gs):
         r, dr = curv[n], nabla_r[n]
         analyses.append(MetricAnalysis(
             alg=alg,
             g=g,
+            frame=frames[n],
             conn=conn[n],
             curv=r,
             nabla_r=dr,
@@ -209,8 +213,8 @@ def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     bracket is formed at once and re-expanded in the basis: its value gives
     the r-coefficients, and what is left of its derivative is projected onto
     the isotropy by one least-squares solve with one right-hand side per
-    pair.  A projection residual above CLOSURE_TOL * max(1, max|derivative|)
-    raises InternalConsistencyError since the Killing algebra must close.
+    pair.  A projection residual, over max(1, max|derivative|), above
+    CLOSURE_TOL raises InternalConsistencyError: the algebra must close.
     """
     derivs = a.killing_derivatives
     n, k = len(derivs), len(a.isotropy)
@@ -226,8 +230,8 @@ def killing_algebra(a: MetricAnalysis) -> KillingAlgebra:
     rest = (deriv - np.einsum("pi,ikl->pkl", value, a.conn)).reshape(-1, 9).T
     iso_cols = a.isotropy.reshape(k, 9).T
     sol = np.linalg.lstsq(iso_cols, rest, rcond=None)[0] if k else np.zeros((0, len(first)))
-    worst = float(np.max(np.abs(iso_cols @ sol - rest)))
-    if worst > CLOSURE_TOL * max(1.0, float(np.max(np.abs(derivs)))):
+    worst = float(np.max(np.abs(iso_cols @ sol - rest))) / max(1.0, float(np.max(np.abs(derivs))))
+    if worst > CLOSURE_TOL:
         raise InternalConsistencyError(
             f"Killing algebra does not close on its generators (residual {worst:.3e})"
         )

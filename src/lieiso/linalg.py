@@ -1,12 +1,12 @@
 """Dense linear-algebra helpers: rank/kernel decisions and canonical bases.
 
-Every rank decision in the package funnels through :func:`rank_and_kernel`,
-which applies the one relative cutoff ``RANK_TOL``.  A classify report makes
-two: the Gram matrix when its metric is built (``metrics.check_spd``) and
-the index of symmetry.  The stabilizer of the Ricci form is read off the
-Ricci eigenvalue multiplicities (``metrics.ricci_clusters``), with no rank
-decision.  :func:`canonical_matrix_basis` reduces only the isotropy basis
-the Singer residual test keeps.
+Rank decisions apply the one relative cutoff ``RANK_TOL``.  A classify
+report makes one through :func:`rank_and_kernel`, on the Gram matrix when
+its metric is built (``metrics.check_spd``); the index of symmetry counts
+singular values of one 3x3 matrix at ``RANK_TOL`` times its norm, and the
+Ricci stabilizer is read off the eigenvalue multiplicities with no rank
+decision (``metrics.ricci_clusters``).  :func:`canonical_matrix_basis`
+reduces only the isotropy basis the Singer residual test keeps.
 """
 
 from __future__ import annotations

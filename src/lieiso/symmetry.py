@@ -29,10 +29,11 @@ import numpy as np
 from .algebra import FAMILY_C, FAMILY_I, LieAlgebra3, make_algebra_c, make_algebra_I
 from .errors import InternalConsistencyError, LieIsoError, RangeError, UnsupportedFamilyError
 from .isometry import MetricAnalysis, analyze_metrics, classify_isometry_group
-from .linalg import PIVOT_TOL, rank_and_kernel
-from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, InnerProduct, metric_from_table, stratum_table
+from .linalg import PIVOT_TOL, RANK_TOL
+from .metrics import METRIC_LAMBDA_NU, METRIC_MU_NU, METRIC_NU, SO3_BASIS, InnerProduct, metric_from_table, stratum_table
 
-#: Tolerance for the certificate ||B_v + sum alpha_j A_j|| of a reported index.
+#: Tolerance for the certificate max|B_v + sum alpha_j A_j| of a reported index,
+#: in the so(3) coordinates of ``index_of_symmetry`` and relative to |C|_F.
 CERTIFICATE_TOL = 1e-9
 
 
@@ -46,40 +47,45 @@ class SymmetryReport:
 def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     """Dimension of the distribution of symmetry at the identity.
 
-    Solves B_v + sum_j alpha_j A_j = 0 over (v, alpha).  The isotropy
-    generators are linearly independent, so the kernel projects injectively
-    onto v-space and its dimension equals the index.
+    Every B_v is g-skew, so in the g-orthonormal frame F of the analysis
+    column j of the 3x3 matrix C holds the SO3_BASIS coordinates of
+    F^-1 B_{F e_j} F; under g -> lambda g, C scales by lambda^(-1/2).  With
+    isotropy so(g) the index is 3.  Otherwise it is the number of singular
+    values at or below RANK_TOL * |C|_F of m = C (no isotropy) or of
+    m = (I - w w^T) C (w the unit coordinates of the isotropy generator);
+    a kernel vector u gives the direction F u.
     """
-    # columns: vec B of r0, r1, r2 (the connection endomorphisms), then of A1..Ak
-    m = a.killing_derivatives.reshape(-1, 9).T
-    _, kernel = rank_and_kernel(m)
-    index = len(kernel)
+    frame, k = a.frame, len(a.isotropy)
+    # coords[i]: coordinates of F^-1 B F (F^-1 = F^T G) for conn[0..2], then the isotropy
+    coords = np.einsum("kab,iab->ik", SO3_BASIS, frame.T @ a.g.coeffs @ a.killing_derivatives @ frame)
+    c = coords[:3].T @ frame
+    index, residual = 3, 0.0
+    if k < 3:
+        m = c
+        if k == 1:
+            w = coords[3] / np.linalg.norm(coords[3])
+            m = c - np.outer(w, w @ c)
+        _, s, vt = np.linalg.svd(m)
+        scale = float(np.linalg.norm(c))
+        kernel = vt[int(np.sum(s > RANK_TOL * scale)):]
+        index = len(kernel)
+        # the certificate: max |B_v + sum_j alpha_j A_j| over the kernel vectors
+        residual = float(np.max(np.abs(m @ kernel.T))) / scale if index else 0.0
 
     if index == 2:
         raise InternalConsistencyError("index of symmetry 2 is impossible in this family")
-    if index not in (0, 1, 3):
-        raise InternalConsistencyError(f"index of symmetry {index} out of range")
     if a.symmetric and index != 3:
         raise InternalConsistencyError("parallel curvature must give the full index")
     if a.constant_curvature and index != 3:
         raise InternalConsistencyError("constant curvature must give the full index")
-
-    # the certificate: max |B_v + sum_j alpha_j A_j| over the kernel vectors
-    residual = float(np.max(np.abs(m @ kernel.T))) if index > 0 else 0.0
     if residual > CERTIFICATE_TOL:
         raise InternalConsistencyError(f"symmetry certificate residual {residual:.3e} too large")
     generator = None
     if index == 1:
-        v = kernel[0][:3]
-        pivot = next(x for x in v if abs(x) > PIVOT_TOL)
-        generator = v / pivot
+        v = frame @ kernel[0]
+        generator = v / v[np.argmax(np.abs(v) > PIVOT_TOL * np.max(np.abs(v)))]  # first entry above the cutoff
         generator[np.abs(generator) < PIVOT_TOL] = 0.0
-
-    return SymmetryReport(
-        index=index,
-        generator=generator,
-        certificate_residual=residual,
-    )
+    return SymmetryReport(index=index, generator=generator, certificate_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,22 @@ intersected) with the Singer solve on it, the reference for
 decision on the commutators in the g-orthonormal frame, the reference for
 the stabilizer dimension that ``intersect_skew`` reads off the Ricci
 spectrum, and the pairwise Killing bracket, the reference for the batched
-brackets of ``lieiso.isometry.killing_algebra``.  They check
-``lieiso.groups``, ``lieiso.metrics`` and ``lieiso.isometry`` from outside;
-nothing in the package calls them.
+brackets of ``lieiso.isometry.killing_algebra``.  The curvature jets
+[R, nabla R, nabla^2 R] check that the Singer filtration stops at nabla R,
+and the 9x(3+k) e-frame index of symmetry is the reference for the 3x3
+frame decision of ``lieiso.symmetry.index_of_symmetry``.  They check
+``lieiso.groups``, ``lieiso.metrics``, ``lieiso.isometry`` and
+``lieiso.symmetry`` from outside; nothing in the package calls them.
 
 Sectional curvature: K(x, y) = <R(x,y) y, x> / (|x|^2 |y|^2 - <x,y>^2).
 """
 
 import numpy as np
 
-from lieiso.curvature import so_action
+from lieiso.curvature import covariant_derivative, curvature, so_action
 from lieiso.groups import left_frame, metric_field, numeric_curvature, phi
 from lieiso.isometry import _normalize_isotropy
-from lieiso.linalg import RANK_TOL, canonical_matrix_basis, rank_and_kernel
+from lieiso.linalg import PIVOT_TOL, RANK_TOL, canonical_matrix_basis, rank_and_kernel
 from lieiso.metrics import SO3_BASIS
 
 
@@ -248,3 +251,28 @@ def span_sine(a, b):
     # the part of span(b) outside span(a); its norm is the sine, without the
     # cancellation of sqrt(1 - cos^2)
     return float(np.linalg.norm(qb - qa @ (qa.T @ qb), 2))
+
+
+def curvature_jets(conn, alg):
+    """[R, nabla R, nabla^2 R] of a connection, with its leading axes."""
+    tensors = [curvature(conn, alg)]
+    for _ in range(2):
+        tensors.append(covariant_derivative(tensors[-1], conn))
+    return tensors
+
+
+def e_frame_index(a):
+    """(index, generator) of an analysis by one SVD of the 9x(3+k) e-frame matrix.
+
+    The columns are vec B of r0, r1, r2 (the connection endomorphisms), then
+    of the isotropy generators A_j; the kernel at RANK_TOL * max|entry| gives
+    the pairs (v, alpha) with B_v + sum_j alpha_j A_j = 0, and the generator
+    of index 1 is its v-part divided by its first entry above PIVOT_TOL.
+    """
+    _, kernel = rank_and_kernel(a.killing_derivatives.reshape(-1, 9).T)
+    if len(kernel) != 1:
+        return len(kernel), None
+    v = kernel[0][:3]
+    generator = v / next(x for x in v if abs(x) > PIVOT_TOL)
+    generator[np.abs(generator) < PIVOT_TOL] = 0.0
+    return 1, generator

@@ -97,13 +97,13 @@ def analyze_metric(alg, g):
     conn = levi_civita(alg, g)
     curv = curvature(conn, alg)
     nabla_r = covariant_derivative(curv, conn)
-    nabla2_r = covariant_derivative(nabla_r, conn)
     ric = ricci(curv)
     linv, sym = ricci_frame(g, ric)
     evals, evecs = np.linalg.eigh(sym)
     return MetricAnalysis(
         alg=alg,
         g=g,
+        frame=linv.T,
         conn=conn,
         curv=curv,
         nabla_r=nabla_r,
@@ -112,5 +112,5 @@ def analyze_metric(alg, g):
         ricci_axes=linv.T @ evecs,
         scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
         symmetric=float(np.max(np.abs(nabla_r))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(curv)))),
-        isotropy=singer_isotropy(g, linv, evals, evecs, (curv, nabla_r, nabla2_r)),
+        isotropy=singer_isotropy(g, linv, evals, evecs, (curv, nabla_r)),
     )

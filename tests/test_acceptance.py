@@ -16,7 +16,6 @@ from lieiso.cli import _random_cases
 from lieiso.curvature import (
     covariant_derivative,
     curvature,
-    curvature_derivatives,
     first_bianchi_defect,
     levi_civita,
     metric_compatibility_defect,
@@ -41,7 +40,7 @@ from lieiso.isometry import (
 )
 from lieiso.metrics import metric_from_table, stratum_table
 from lieiso.symmetry import index_of_symmetry, scan_moduli
-from oracles import constant_sectional, numeric_sectional
+from oracles import constant_sectional, curvature_jets, numeric_sectional
 
 GRID = [0.5, 1.0, 2.0]
 
@@ -99,7 +98,7 @@ def test_accept_02_isotropy_dimensions_and_generator():
         for mu in GRID:
             for nu in GRID:
                 g = metric_from_table(alg0, mu=mu, nu=nu)
-                tensors = curvature_derivatives(levi_civita(alg0, g.coeffs), alg0)
+                tensors = curvature_jets(levi_civita(alg0, g.coeffs), alg0)
                 iso = analyze_metrics(alg0, [g])[0].isotropy
                 assert len(iso) == 1
                 np.testing.assert_allclose(

@@ -128,28 +128,28 @@ def test_shared_analysis_gives_the_same_answers(monkeypatch):
 
 
 def test_rank_decisions_of_an_isotropy_zero_report(monkeypatch):
-    # one decision on the Gram matrix, when the metric is built, and one on
-    # the index; the stabilizer of the Ricci form (empty here, so no Singer
-    # test) is read off the spectrum
+    # one decision on the Gram matrix, when the metric is built; the
+    # stabilizer of the Ricci form (empty here, so no Singer test) is read
+    # off the spectrum, and the index is a 3x3 SVD in the orthonormal frame
     alg = make_algebra_c(4.0)
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
     g = metric_from_table(alg, mu=2.0, nu=1.0)
     assert len(calls) == 1
     report = build_report(alg, g)
     assert report["isometry"]["isotropy_dim"] == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_rank_decisions_of_an_isotropic_report(monkeypatch):
-    # the Gram matrix and the index; the Ricci stabilizer (all of so(g) here)
-    # is read off the spectrum and kept whole by the Singer residual test,
-    # and neither decides a rank
+    # the Gram matrix only; the Ricci stabilizer (all of so(g) here) is read
+    # off the spectrum and kept whole by the Singer residual test, and the
+    # index of a 3-dimensional isotropy is 3 with no decision
     alg = make_algebra_I()
     calls = _count_calls(monkeypatch, RANK_AND_KERNEL)
     g = metric_from_table(alg, nu=1.5)
     report = build_report(alg, g)
     assert report["isometry"]["isotropy_dim"] == 3
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -7,7 +7,6 @@ from lieiso.algebra import make_algebra_I, make_algebra_c
 from lieiso.curvature import (
     covariant_derivative,
     curvature,
-    curvature_derivatives,
     first_bianchi_defect,
     levi_civita,
     metric_compatibility_defect,
@@ -18,7 +17,7 @@ from lieiso.curvature import (
     torsion_defect,
 )
 from lieiso.metrics import inner_product_from_gram, metric_from_table
-from oracles import constant_sectional, sectional_curvature
+from oracles import constant_sectional, curvature_jets, sectional_curvature
 
 GRID = [0.5, 1.0, 2.0]
 
@@ -178,11 +177,11 @@ def test_curvature_derivatives_orders():
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=1.0, nu=1.0)
     conn = levi_civita(alg, g.coeffs)
-    tensors = curvature_derivatives(conn, alg)
+    tensors = curvature_jets(conn, alg)
     assert [t.ndim - 1 for t in tensors] == [3, 4, 5]
-    np.testing.assert_allclose(
-        tensors[1], covariant_derivative(tensors[0], conn)
-    )
+    np.testing.assert_array_equal(tensors[0], curvature(conn, alg))
+    np.testing.assert_array_equal(tensors[1], covariant_derivative(tensors[0], conn))
+    np.testing.assert_array_equal(tensors[2], covariant_derivative(tensors[1], conn))
 
 
 @pytest.mark.parametrize("mu", GRID)
@@ -194,7 +193,7 @@ def test_isotropy_generator_annihilates_curvature_jets(mu, nu):
     g = metric_from_table(alg, mu=mu, nu=nu)
     conn = levi_civita(alg, g.coeffs)
     a = goldens.isotropy_generator_c0(mu, nu)
-    for t in curvature_derivatives(conn, alg):
+    for t in curvature_jets(conn, alg):
         scale = max(1.0, np.max(np.abs(t)))
         assert np.max(np.abs(so_action(a, t))) <= 1e-9 * scale
 

@@ -5,7 +5,7 @@ import pytest
 
 import goldens
 from lieiso.algebra import make_algebra_I, make_algebra_c
-from lieiso.curvature import curvature, curvature_derivatives, levi_civita, ricci, scalar_curvature
+from lieiso.curvature import curvature, levi_civita, ricci, scalar_curvature
 from lieiso.errors import InternalConsistencyError
 from lieiso.isometry import (
     CLOSURE_TOL,
@@ -16,7 +16,7 @@ from lieiso.isometry import (
     killing_form,
 )
 from lieiso.metrics import inner_product_from_gram, metric_from_table, skew_algebra
-from oracles import killing_bracket, killing_structure, solve_singer
+from oracles import curvature_jets, killing_bracket, killing_structure, solve_singer
 
 GRID = [0.5, 1.0, 2.0]
 
@@ -74,7 +74,7 @@ def test_full_isotropy_for_hyperbolic_metrics(nu):
 
 def _singer_without_prefilter(alg, g):
     """The Singer solve on the whole metric-skew algebra, with no Ricci prefilter."""
-    tensors = curvature_derivatives(levi_civita(alg, g.coeffs), alg)
+    tensors = curvature_jets(levi_civita(alg, g.coeffs), alg)
     frame = np.linalg.inv(np.linalg.cholesky(g.coeffs)).T
     return solve_singer(skew_algebra(frame[None], g.coeffs[None])[0], tensors)
 
@@ -184,9 +184,10 @@ def test_batched_brackets_equal_the_pairwise_reference(c, params):
     want, worst = killing_structure(analysis)
     assert float(np.max(np.abs(ka.structure - want))) <= 1e-12 * float(np.max(np.abs(want)))
     # the closure residual is what is left of the bracket derivatives, whose
-    # terms have the size of conn^2
-    assert abs(ka.closure_residual - worst) <= 1e-12 * float(np.max(np.abs(analysis.conn))) ** 2
-    assert worst <= CLOSURE_TOL
+    # terms have the size of conn^2, over max(1, max|derivative|)
+    size = max(1.0, float(np.max(np.abs(ka.derivatives))))
+    assert abs(ka.closure_residual * size - worst) <= 1e-12 * float(np.max(np.abs(analysis.conn))) ** 2
+    assert worst <= CLOSURE_TOL * size
     np.testing.assert_array_equal(ka.values, np.eye(len(want), 3))
     np.testing.assert_array_equal(ka.derivatives, np.concatenate([analysis.conn, analysis.isotropy]))
 

@@ -5,9 +5,11 @@ field of every MetricAnalysis is compared with ``np.array_equal`` and with
 equal sign bits, so that a zero of the other sign counts as a difference.
 The constant-curvature decision read off the stacked Ricci spectrum is also
 checked, on the same scan points, against the six-plane probe of ``oracles``,
-and the Singer search space read off the Ricci spectrum against the 9x3
+the Singer search space read off the Ricci spectrum against the 9x3
 rank decision in the g-orthonormal frame and the e-frame intersection
-so(g) ∩ so(Ric) of ``oracles``.
+so(g) ∩ so(Ric) of ``oracles``, the isotropy against the Singer solves with
+and without nabla^2 R, and the index of symmetry against the 9x(3+k)
+e-frame SVD.
 """
 
 import numpy as np
@@ -20,11 +22,20 @@ from lieiso.curvature import covariant_derivative, curvature, levi_civita, so_ac
 from lieiso.errors import DegenerateFormError, RangeError
 from lieiso.isometry import analyze_metrics, classify_isometry_group
 from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra
-from lieiso.symmetry import analyze_catalog_points, scan_moduli
-from oracles import constant_sectional, frame_stabilizer, singer_isotropy, singer_search_space, span_sine
+from lieiso.symmetry import analyze_catalog_points, index_of_symmetry, scan_moduli
+from oracles import (
+    constant_sectional,
+    curvature_jets,
+    e_frame_index,
+    frame_stabilizer,
+    singer_isotropy,
+    singer_search_space,
+    solve_singer,
+    span_sine,
+)
 
 GROUPS = DEFAULT_GROUPS + [(FAMILY_C, -0.7), (FAMILY_C, 0.81), (FAMILY_C, 5.5)]
-FIELDS = ("conn", "curv", "nabla_r", "ric", "ricci_eigenvalues", "ricci_axes", "scalar",
+FIELDS = ("frame", "conn", "curv", "nabla_r", "ric", "ricci_eigenvalues", "ricci_axes", "scalar",
           "symmetric", "isotropy")
 
 
@@ -94,6 +105,28 @@ def test_search_space_agrees_with_the_e_frame_intersection(family, c):
         assert span_sine(space, want) <= 1e-14, label
         tensors = (a.curv, a.nabla_r, perpoint.covariant_derivative(a.nabla_r, a.conn))
         assert len(a.isotropy) == len(singer_isotropy(g.coeffs, tensors, a.ric)), label
+
+
+@pytest.mark.parametrize("family,c", GROUPS)
+def test_singer_filtration_stops_at_nabla_r_and_the_index_equals_the_e_frame_svd(family, c):
+    # g_2 = g_1: the Singer solve on (R, nabla R, nabla^2 R) and on (R, nabla R)
+    # over so(g) have the engine's isotropy dimension; the frame index and
+    # generator are those of the 9x(3+k) e-frame SVD
+    alg, gs = _scan_metrics(family, c)
+    grams = np.stack([g.coeffs for g in gs])
+    tensors = curvature_jets(levi_civita(alg, grams), alg)
+    analyses = analyze_metrics(alg, gs)
+    algebras = skew_algebra(np.stack([a.frame for a in analyses]), grams)
+    for n, a in enumerate(analyses):
+        label = f"{family} c={c} point {n}"
+        g2 = solve_singer(algebras[n], [t[n] for t in tensors])
+        g1 = solve_singer(algebras[n], [t[n] for t in tensors[:2]])
+        assert len(a.isotropy) == len(g1) == len(g2), label
+        got = index_of_symmetry(a)
+        index, generator = e_frame_index(a)
+        assert got.index == index, label
+        if generator is not None:
+            np.testing.assert_allclose(got.generator, generator, rtol=0, atol=1e-12, err_msg=label)
 
 
 @pytest.mark.parametrize("family,c", GROUPS)
