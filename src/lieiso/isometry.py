@@ -61,42 +61,36 @@ class IsometryDescriptor:
     sectional_constant: float | None
 
 
-def singer_isotropy(
-    grams: np.ndarray,
-    frames: np.ndarray,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-    tensors: tuple[np.ndarray, np.ndarray],
-) -> list[np.ndarray]:
+def singer_isotropy(spaces: list[np.ndarray], tensors: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
     """Basis (k, 3, 3) of the isotropy algebra of each metric of a stack, canonically normalized.
 
-    ``grams`` (n, 3, 3) are the Gram matrices, ``frames`` g-orthonormal
-    frames F, ``evals`` (n, 3) and ``evecs`` (n, 3, 3) the spectra of the
-    Ricci forms F^T Ric F, and ``tensors`` the stacked (R, nabla R), all
-    with the same leading axis.  ``skew_algebra`` gives so(g)
-    in closed form and ``intersect_skew`` the stabilizer of the Ricci form in
-    it, read off the spectrum.  That stabilizer is kept whole when the
-    largest singular value of its action on the two tensors is at most
+    ``spaces`` holds the stabilizer of each Ricci form in so(g), from
+    ``intersect_skew``, and ``tensors`` the stacked (R, nabla R) with one
+    item per metric.  A stabilizer is kept whole when the largest singular
+    value of its action on the two tensors is at most
     RANK_TOL * max|T| * max|stabilizer entry|, and dropped otherwise.  The
-    so(3) action runs once per tensor for the stack.
+    so(3) action runs once per tensor for the stack, and the residual norms
+    once for each stabilizer dimension k (1 or 3).
     """
-    spaces = intersect_skew(skew_algebra(frames, grams), evals, evecs)
+    isotropy = [np.zeros((0, 3, 3))] * len(spaces)
+    dims = np.array([len(space) for space in spaces])
+    if not dims.any():
+        return isotropy
     # every (metric, stabilizer matrix) pair of the stack, acted on each tensor
-    owner = [n for n, space in enumerate(spaces) for _ in space]
-    acted = np.hstack([so_action(np.concatenate(spaces), t[owner]).reshape(len(owner), -1)
-                       for t in tensors]) if owner else None
-    isotropy, first = [], 0
-    for n, space in enumerate(spaces):
-        rows = slice(first, first + len(space))
-        first = rows.stop
-        isotropy.append(np.zeros((0, 3, 3)))
-        if len(space) == 0:
+    owner = np.repeat(np.arange(len(spaces)), dims)
+    basis = np.concatenate(spaces)
+    acted = np.hstack([so_action(basis, t[owner]).reshape(len(owner), -1) for t in tensors])
+    for k in (1, 3):
+        members, rows = np.flatnonzero(dims == k), np.flatnonzero(dims[owner] == k)
+        if len(members) == 0:
             continue
         # the natural scale of the residual system: basis size times tensor
         # size (for a symmetric space the whole system is rounding noise)
-        scale = max(float(np.max(np.abs(t[n]))) for t in tensors) * float(np.max(np.abs(space)))
-        if np.linalg.norm(acted[rows], 2) <= RANK_TOL * scale:
-            isotropy[n] = _normalize_isotropy(canonical_matrix_basis(space))
+        size = np.max([abs(t[members]).reshape(len(members), -1).max(axis=1) for t in tensors], axis=0)
+        scale = size * abs(basis[rows]).reshape(len(members), -1).max(axis=1)
+        residual = np.linalg.norm(acted[rows].reshape(len(members), k, -1), 2, axis=(1, 2))
+        for n in members[residual <= RANK_TOL * scale]:
+            isotropy[n] = _normalize_isotropy(canonical_matrix_basis(spaces[n]))
     return isotropy
 
 
@@ -117,7 +111,12 @@ class MetricAnalysis:
     """The data every classifier reads, computed once per metric.
 
     ``symmetric`` is the one parallel-curvature decision (nabla R = 0 at
-    PARALLEL_TOL); ``ricci_eigenvalues`` (ascending) and ``ricci_axes``
+    PARALLEL_TOL).  ``constant_curvature`` is the one constant-curvature
+    decision: in dimension 3 the curvature is constant iff Ric = 2K g, i.e.
+    iff the Ricci spectrum is one triple eigenvalue at RICCI_TOL;
+    ``ricci_simple`` is the index of the simple eigenvalue when the spectrum
+    is a double pair and a simple eigenvalue, None otherwise (both by
+    ``ricci_clusters``).  ``ricci_eigenvalues`` (ascending) and ``ricci_axes``
     (columns: g-orthonormal eigenvectors in the e-frame) are the spectrum of
     Ric relative to g, and ``scalar`` its trace; ``isotropy`` is the Singer
     isotropy basis (k, 3, 3).  ``conn[i]`` is also the derivative B of the
@@ -135,6 +134,8 @@ class MetricAnalysis:
     ricci_axes: np.ndarray
     scalar: float
     symmetric: bool
+    constant_curvature: bool
+    ricci_simple: int | None
     isotropy: np.ndarray
 
     @property
@@ -143,19 +144,14 @@ class MetricAnalysis:
         A1, ..., Ak: ``conn`` stacked on ``isotropy``."""
         return np.concatenate([self.conn, self.isotropy])
 
-    @property
-    def constant_curvature(self) -> bool:
-        """Whether the curvature is constant: in dimension 3 iff Ric = 2K g,
-        i.e. iff the Ricci spectrum is one triple eigenvalue at RICCI_TOL."""
-        return ricci_clusters(self.ricci_eigenvalues)[0] == 3
-
 
 def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnalysis]:
     """Connection, R, nabla R, Ricci spectrum and isotropy of each metric.
 
     The Gram matrices of ``gs`` are stacked and each kernel runs once for the
-    whole stack; the result holds one MetricAnalysis per metric, in order,
-    each equal bit for bit to the analysis of that metric in a stack of one.
+    whole stack, as do the parallel-curvature and Ricci-cluster decisions;
+    the result holds one MetricAnalysis per metric, in order, each equal bit
+    for bit to the analysis of that metric in a stack of one.
     """
     grams = np.stack([g.coeffs for g in gs])
     conn = levi_civita(alg, grams)
@@ -171,25 +167,34 @@ def analyze_metrics(alg: LieAlgebra3, gs: list[InnerProduct]) -> list[MetricAnal
     evals, evecs = np.linalg.eigh(sym)
     axes = frames @ evecs
     scalar = scalar_curvature(ric, grams)
-    isotropy = singer_isotropy(grams, frames, evals, evecs, (curv, nabla_r))
-    analyses = []
-    for n, g in enumerate(gs):
-        r, dr = curv[n], nabla_r[n]
-        analyses.append(MetricAnalysis(
+    # the Ricci clusters decide the stabilizer, constant curvature and the
+    # product signature; ``skew_algebra`` gives so(g) in closed form
+    multiplicity, simple, _ = ricci_clusters(evals)
+    spaces = intersect_skew(skew_algebra(frames, grams), multiplicity, simple, evecs)
+    isotropy = singer_isotropy(spaces, (curv, nabla_r))
+    n = len(gs)
+    curv_size = abs(curv).reshape(n, -1).max(axis=1)
+    symmetric = abs(nabla_r).reshape(n, -1).max(axis=1) <= PARALLEL_TOL * np.maximum(1.0, curv_size)
+    decisions = zip(scalar.tolist(), symmetric.tolist(), multiplicity.tolist(), simple.tolist())
+    return [
+        MetricAnalysis(
             alg=alg,
             g=g,
-            frame=frames[n],
-            conn=conn[n],
-            curv=r,
-            nabla_r=dr,
-            ric=ric[n],
-            ricci_eigenvalues=evals[n],
-            ricci_axes=axes[n],
-            scalar=float(scalar[n]),
-            symmetric=float(np.max(np.abs(dr))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(r)))),
-            isotropy=isotropy[n],
-        ))
-    return analyses
+            frame=frames[i],
+            conn=conn[i],
+            curv=curv[i],
+            nabla_r=nabla_r[i],
+            ric=ric[i],
+            ricci_eigenvalues=evals[i],
+            ricci_axes=axes[i],
+            scalar=scal,
+            symmetric=parallel,
+            constant_curvature=mult == 3,
+            ricci_simple=simp if mult == 2 else None,
+            isotropy=isotropy[i],
+        )
+        for i, (g, (scal, parallel, mult, simp)) in enumerate(zip(gs, decisions))
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,10 +258,9 @@ def killing_form(ka: KillingAlgebra) -> tuple[np.ndarray, np.ndarray]:
 def _ricci_product_signature(a: MetricAnalysis) -> bool:
     """Detect the metric-product signature: Ricci eigenvalues (0, -b, -b) with
     the kernel direction parallel (so the flat factor splits off)."""
-    evals = a.ricci_eigenvalues
-    multiplicity, simple, tol = ricci_clusters(evals)
+    evals, simple = a.ricci_eigenvalues, a.ricci_simple
     # evals[1] always belongs to the double pair
-    if multiplicity != 2 or abs(evals[simple]) > tol or evals[1] >= 0:
+    if simple is None or abs(evals[simple]) > RICCI_TOL * float(np.max(np.abs(evals))) or evals[1] >= 0:
         return False
     v = a.ricci_axes[:, simple]
     v = v / np.linalg.norm(v)

@@ -12,7 +12,8 @@ The Singer search space of a metric is decided in a g-orthonormal frame F,
 the Cholesky frame of its Gram matrix.  There so(g) is the constant so(3):
 ``skew_algebra`` writes it down in closed form, M_k = F E_k F^-1, and
 ``intersect_skew`` reads the stabilizer of the Ricci form off the
-eigenvalue multiplicities that ``ricci_clusters`` decides at ``RICCI_TOL``.
+eigenvalue multiplicities that ``ricci_clusters`` decides at ``RICCI_TOL``,
+once for a stack of spectra.
 
 Catalog (nu > 0 throughout):
 
@@ -30,6 +31,7 @@ Catalog (nu > 0 throughout):
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -118,8 +120,7 @@ def canonical_frame_change(c: float) -> np.ndarray:
     )
 
 
-# Named tuples, not frozen dataclasses: every snap builds a table, and they
-# are built three times faster.
+# Named tuples, not frozen dataclasses: they are built three times faster.
 class StratumSpec(NamedTuple):
     """One stratum of a group's moduli space: one row of ``lieiso table``.
 
@@ -235,7 +236,19 @@ def stratum_table(family: str, c: float | None) -> StratumTable:
     return StratumTable(c, strata, equality, scan_mu)
 
 
-def _snap(value: float, targets: list[float]) -> tuple[float, bool]:
+@functools.lru_cache(maxsize=1)
+def _boundary_lines(c: float) -> tuple[float, ...]:
+    """The snap targets of the family-c group with this c.
+
+    A scan or a table builds every metric of one group in a row, so the
+    table is built once for them, not once per metric.  Only the lines are
+    kept: c = -0.0 and c = 0.0 share them (there are none), but each builds
+    its own table, whose ``c`` keeps the sign.
+    """
+    return tuple(stratum_table(FAMILY_C, c).lines())
+
+
+def _snap(value: float, targets: tuple[float, ...]) -> tuple[float, bool]:
     for t in targets:
         if value != t and abs(value - t) < TOL_CASE:
             return t, True
@@ -255,7 +268,7 @@ def snap_parameters(alg: LieAlgebra3, name: str, params: dict[str, float]) -> tu
     param = SHEET_PARAMETER.get(name)
     if alg.family != FAMILY_C or param not in params:
         return dict(params), False
-    targets = [0.0] if name == METRIC_LAMBDA_NU else stratum_table(FAMILY_C, alg.c).lines()
+    targets = (0.0,) if name == METRIC_LAMBDA_NU else _boundary_lines(alg.c)
     out = dict(params)
     out[param], snapped = _snap(float(params[param]), targets)
     return out, snapped
@@ -364,35 +377,45 @@ def skew_algebra(frames: np.ndarray, grams: np.ndarray) -> np.ndarray:
     return (frames[:, None] @ SO3_BASIS) @ inverse[:, None]
 
 
-def ricci_clusters(evals: np.ndarray) -> tuple[int, int, float]:
-    """(multiplicity, simple, tol) of an ascending Ricci spectrum, tol = RICCI_TOL * max|lambda|.
+def ricci_clusters(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(multiplicity, simple, tol) of ascending Ricci spectra (..., 3), tol = RICCI_TOL * max|lambda|.
 
-    The multiplicity is 3 when the spread is within tol, 2 when the smaller
-    gap is, and 1 otherwise; ``simple`` is the index (0 or 2) of the
-    eigenvalue across the larger gap, the one outside a double pair.
+    One entry per spectrum of the stack, and scalars for one spectrum.  The
+    multiplicity is 3 when the spread is within tol, 2 when the smaller gap
+    is, and 1 otherwise; ``simple`` is the index (0 or 2) of the eigenvalue
+    across the larger gap, the one outside a double pair.
     """
-    tol = RICCI_TOL * float(np.max(np.abs(evals)))
-    low, high = evals[1] - evals[0], evals[2] - evals[1]
-    multiplicity = 3 if evals[2] - evals[0] <= tol else 2 if min(low, high) <= tol else 1
-    return multiplicity, 2 if low <= high else 0, tol
+    tol = RICCI_TOL * abs(evals).max(axis=-1)
+    gaps = evals[..., 1:] - evals[..., :-1]
+    # the spread is at least either gap, so a spread within tol counts twice
+    multiplicity = 1 + (gaps.min(axis=-1) <= tol) + (evals[..., 2] - evals[..., 0] <= tol)
+    return multiplicity, 2 * (gaps[..., 0] <= gaps[..., 1]), tol
 
 
-def intersect_skew(algebras: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list[np.ndarray]:
+def intersect_skew(
+    algebras: np.ndarray, multiplicity: np.ndarray, simple: np.ndarray, evecs: np.ndarray
+) -> list[np.ndarray]:
     """The stabilizer of the Ricci form in so(g), one basis (k, 3, 3) per metric of a stack.
 
     ``algebras`` (n, 3, 3, 3) holds the bases M_k = F E_k F^-1 of ``skew_algebra``,
-    ``evals`` (n, 3) and ``evecs`` (n, 3, 3) the Ricci spectra in the frame F.
-    By ``ricci_clusters``, a triple eigenvalue keeps all of so(g), distinct ones
-    none, and a double one the rotation sum_k w_k M_k about the simple
-    eigenvector w: sum_k w_k E_k = [w]x / sqrt(2) commutes with the form.
+    ``multiplicity`` and ``simple`` (n,) the ``ricci_clusters`` of the Ricci
+    spectra in the frame F, and ``evecs`` (n, 3, 3) their eigenvectors.  A
+    triple eigenvalue keeps all of so(g), distinct ones none, and a double
+    one the rotation sum_k w_k M_k about the simple eigenvector w:
+    sum_k w_k E_k = [w]x / sqrt(2) commutes with the form.  The rotations
+    are formed once for the stack.
     """
-    spaces = []
-    for algebra, spectrum, vectors in zip(algebras, evals, evecs):
-        multiplicity, simple, _ = ricci_clusters(spectrum)
-        if multiplicity == 3:
-            spaces.append(algebra)
-        elif multiplicity == 2:
-            spaces.append(np.tensordot(vectors[:, simple], algebra, axes=1)[None])
-        else:
-            spaces.append(np.zeros((0, 3, 3)))
+    counts = multiplicity.tolist()
+    empty = np.zeros((0, 3, 3))
+    spaces = [algebra if m == 3 else empty for m, algebra in zip(counts, algebras)]
+    double = [i for i, m in enumerate(counts) if m == 2]
+    if double:
+        # the rotations about eigenvectors 0 and 2, each read as a strided
+        # column of evecs, so that BLAS forms the products it forms for one
+        # metric alone
+        vectors, flat = evecs[double], algebras[double].reshape(len(double), 3, 9)
+        rotations = np.where((simple[double] == 2)[:, None, None],
+                             vectors[:, None, :, 2] @ flat, vectors[:, None, :, 0] @ flat)
+        for i, rotation in zip(double, rotations.reshape(-1, 1, 3, 3)):
+            spaces[i] = rotation
     return spaces

@@ -42,7 +42,7 @@ RESIDUAL_TOLS = {
 def _plain(obj: Any) -> Any:
     """Recursively convert numpy containers/scalars to JSON-ready values."""
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
@@ -191,7 +191,7 @@ def stratification_rows(family: str, c: float | None) -> list[dict[str, str]]:
 
     The index and generator are computed at every sample point of the
     stratum and must agree across it.  The sample points of all strata are
-    analysed as one stack.
+    analysed, and given their index of symmetry, as one stack.
     """
     table = stratum_table(family, c)
     alg = make_algebra_I() if family == FAMILY_I else make_algebra_c(table.c)
@@ -202,8 +202,7 @@ def stratification_rows(family: str, c: float | None) -> list[dict[str, str]]:
         indices = []
         generator = None
         for _ in params:
-            _, analysis = next(analysed)
-            report = index_of_symmetry(analysis)
+            _, _, report = next(analysed)
             indices.append(report.index)
             generator = report.generator if report.generator is not None else generator
         if len(set(indices)) != 1:

@@ -7,6 +7,13 @@ the right-invariant field of value v and the A_j span the isotropy algebra.  In
 this family of groups the index is always 0, 1 or 3; the value 2 is
 structurally impossible and is treated as an internal error.
 
+The index is decided once per stack of analyses: one einsum gives the
+so(3) coordinates C of every metric with isotropy below so(g), and one
+batched SVD their kernels.  ``index_of_symmetry(a)`` is the stack of one of
+that code, and ``analyze_catalog_points`` runs it for the points of a scan
+or a table.  A report of a stack equals bit for bit the report of its
+metric alone, and a failed check is raised at its own point.
+
 The moduli space of left-invariant metrics up to isometric automorphism is,
 for each group, a low-dimensional parameter space (see ``metrics``).  Its
 strata, boundary lines and topologically singular locus are given by
@@ -53,39 +60,94 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
     isotropy so(g) the index is 3.  Otherwise it is the number of singular
     values at or below RANK_TOL * |C|_F of m = C (no isotropy) or of
     m = (I - w w^T) C (w the unit coordinates of the isotropy generator);
-    a kernel vector u gives the direction F u.
+    a kernel vector u gives the direction F u.  This is the stack of one of
+    ``_symmetry_reports``.
     """
-    frame, k = a.frame, len(a.isotropy)
-    # coords[i]: coordinates of F^-1 B F (F^-1 = F^T G) for conn[0..2], then the isotropy
-    coords = np.einsum("kab,iab->ik", SO3_BASIS, frame.T @ a.g.coeffs @ a.killing_derivatives @ frame)
-    c = coords[:3].T @ frame
-    index, residual = 3, 0.0
-    if k < 3:
-        m = c
-        if k == 1:
-            w = coords[3] / np.linalg.norm(coords[3])
-            m = c - np.outer(w, w @ c)
-        _, s, vt = np.linalg.svd(m)
-        scale = float(np.linalg.norm(c))
-        kernel = vt[int(np.sum(s > RANK_TOL * scale)):]
-        index = len(kernel)
-        # the certificate: max |B_v + sum_j alpha_j A_j| over the kernel vectors
-        residual = float(np.max(np.abs(m @ kernel.T))) / scale if index else 0.0
+    report = _symmetry_reports([a])[0]
+    if isinstance(report, InternalConsistencyError):
+        raise report
+    return report
 
-    if index == 2:
-        raise InternalConsistencyError("index of symmetry 2 is impossible in this family")
-    if a.symmetric and index != 3:
-        raise InternalConsistencyError("parallel curvature must give the full index")
-    if a.constant_curvature and index != 3:
-        raise InternalConsistencyError("constant curvature must give the full index")
-    if residual > CERTIFICATE_TOL:
-        raise InternalConsistencyError(f"symmetry certificate residual {residual:.3e} too large")
-    generator = None
-    if index == 1:
-        v = frame @ kernel[0]
-        generator = v / v[np.argmax(np.abs(v) > PIVOT_TOL * np.max(np.abs(v)))]  # first entry above the cutoff
-        generator[np.abs(generator) < PIVOT_TOL] = 0.0
-    return SymmetryReport(index=index, generator=generator, certificate_residual=residual)
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, formed as ``np.linalg.norm`` forms it
+    for one vector: the square root of its dot product with itself."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def _symmetry_reports(analyses: list[MetricAnalysis]) -> list[SymmetryReport | InternalConsistencyError]:
+    """The index of symmetry of each analysis (see ``index_of_symmetry``), or
+    the InternalConsistencyError its checks raise.
+
+    The metrics with isotropy below so(g) are solved as one stack by
+    ``_solve_stack``; every report equals bit for bit the report of its
+    metric alone.  Errors are returned, not raised, so that a caller meets
+    each one at its own point.
+    """
+    solved = [a for a in analyses if len(a.isotropy) < 3]
+    results = iter(_solve_stack(solved) if solved else ())
+    reports: list[SymmetryReport | InternalConsistencyError] = []
+    for a in analyses:
+        index, residual, generator = next(results) if len(a.isotropy) < 3 else (3, 0.0, None)
+        if index == 2:
+            reports.append(InternalConsistencyError("index of symmetry 2 is impossible in this family"))
+        elif a.symmetric and index != 3:
+            reports.append(InternalConsistencyError("parallel curvature must give the full index"))
+        elif a.constant_curvature and index != 3:
+            reports.append(InternalConsistencyError("constant curvature must give the full index"))
+        elif residual > CERTIFICATE_TOL:
+            reports.append(InternalConsistencyError(f"symmetry certificate residual {residual:.3e} too large"))
+        else:
+            reports.append(SymmetryReport(index=index, generator=generator, certificate_residual=residual))
+    return reports
+
+
+def _solve_stack(analyses: list[MetricAnalysis]) -> list[tuple[int, float, np.ndarray | None]]:
+    """(index, certificate residual, generator) of each analysis with
+    isotropy of dimension 0 or 1: one einsum for the coordinates and one SVD
+    for the stack."""
+    # each frame is a transposed view; stacking the transposes and swapping
+    # back keeps that memory order, so BLAS takes the path it takes for one
+    # metric alone
+    frames = np.array([a.frame.T for a in analyses]).swapaxes(-1, -2)
+    grams = np.array([a.g.coeffs for a in analyses])
+    # B of r0, r1, r2, and of the isotropy generator (zero without one)
+    derivs = np.array([a.conn for a in analyses])
+    line = [j for j, a in enumerate(analyses) if len(a.isotropy) == 1]
+    if line:
+        iso = np.zeros((len(analyses), 1, 3, 3))
+        iso[line, 0] = np.array([analyses[j].isotropy[0] for j in line])
+        derivs = np.concatenate([derivs, iso], axis=1)
+    # their coordinates in F^-1 B F (F^-1 = F^T G)
+    inverse = (frames.swapaxes(-1, -2) @ grams)[:, None]
+    coords = np.einsum("kab,niab->nik", SO3_BASIS, inverse @ derivs @ frames[:, None])
+    c = m = coords[:, :3].swapaxes(-1, -2) @ frames
+    if line:
+        w = coords[line, 3]
+        w = w / _norms(w)[:, None]
+        m = c.copy()
+        m[line] = c[line] - w[:, :, None] * (w[:, None, :] @ c[line])
+    _, s, vt = np.linalg.svd(m)
+    scale = _norms(c.reshape(-1, 9))
+    index = 3 - (s > RANK_TOL * scale[:, None]).sum(axis=1)
+    found = index.tolist()
+    # the certificate max |B_v + sum_j alpha_j A_j| over the kernel vectors,
+    # the rows of vt past the rank: the last row for index 1, all three for
+    # index 3 (an index of 2 fails whatever it is)
+    residual = np.zeros(len(found))
+    generators = [None] * len(found)
+    if 1 in found:
+        residual = np.where(index == 1, abs(m @ vt[:, 2, :, None]).reshape(-1, 3).max(axis=1), residual)
+        # the direction F u of the last row, divided by its first entry above the cutoff
+        v = (frames @ vt[:, 2, :, None])[..., 0]
+        size = abs(v)
+        pivot = (size > PIVOT_TOL * size.max(axis=1, keepdims=True)).argmax(axis=1)
+        v = v / v[np.arange(len(v)), pivot, None]
+        v[abs(v) < PIVOT_TOL] = 0.0
+        generators = [generator if i == 1 else None for i, generator in zip(found, v)]
+    if 3 in found:
+        residual = np.where(index == 3, abs(m @ vt.swapaxes(-1, -2)).reshape(-1, 9).max(axis=1), residual)
+    return list(zip(found, (residual / scale).tolist(), generators))
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +155,14 @@ def index_of_symmetry(a: MetricAnalysis) -> SymmetryReport:
 
 def analyze_catalog_points(
     alg: LieAlgebra3, params: list[dict[str, float]]
-) -> Iterable[tuple[InnerProduct, MetricAnalysis]]:
-    """The catalog metric and its analysis at each parameter set, in order.
+) -> Iterable[tuple[InnerProduct, MetricAnalysis, SymmetryReport]]:
+    """The catalog metric, its analysis and its index of symmetry at each parameter set, in order.
 
-    The metrics are built in order up to the first that fails and analysed
-    as one stack when this is called.  They are handed out before that
-    failure is raised, so a caller meets it exactly where a loop over the
-    points would.
+    The metrics are built in order up to the first that fails, and analysed
+    and given their index of symmetry as one stack when this is called.  The
+    points before the first failure, of the build or of an index check, are
+    handed out before it is raised, so a caller meets it exactly where a
+    loop over the points would.
     """
     gs: list[InnerProduct] = []
     failure = None
@@ -108,7 +171,13 @@ def analyze_catalog_points(
             gs.append(metric_from_table(alg, **p))
     except LieIsoError as exc:
         failure = exc
-    points = list(zip(gs, analyze_metrics(alg, gs))) if gs else []
+    analyses = analyze_metrics(alg, gs) if gs else []
+    points: list[tuple[InnerProduct, MetricAnalysis, SymmetryReport]] = []
+    for g, analysis, report in zip(gs, analyses, _symmetry_reports(analyses)):
+        if isinstance(report, InternalConsistencyError):
+            failure = report
+            break
+        points.append((g, analysis, report))
     return _then_raise(points, failure) if failure else points
 
 
@@ -158,8 +227,9 @@ def scan_moduli(
     The grid covers each metric sheet and always includes the stratum
     boundary lines (which is where the interesting strata live).  Scan points
     are pure functions of (family, c, params): every grid metric is built
-    first and the whole grid is analysed as one stack, then classified point
-    by point in the fixed order below.  Grid sizes below 1 raise RangeError.
+    first and the whole grid is analysed, and given its index of symmetry,
+    as one stack, then classified point by point in the fixed order below.
+    Grid sizes below 1 raise RangeError.
     """
     if grid_mu < 1 or grid_nu < 1:
         raise RangeError(f"scan grid sizes must be at least 1, got grid_mu={grid_mu}, grid_nu={grid_nu}")
@@ -186,8 +256,7 @@ def scan_moduli(
                      for l in np.linspace(0.15, 0.85, max(grid_mu // 2, 2)) for nu in nus]
 
     points: list[ScanPoint] = []
-    for (name, params), (g, analysis) in zip(jobs, analyze_catalog_points(alg, [p for _, p in jobs])):
-        report = index_of_symmetry(analysis)
+    for (name, params), (g, analysis, report) in zip(jobs, analyze_catalog_points(alg, [p for _, p in jobs])):
         descriptor = classify_isometry_group(analysis)
         stratum = table.locate(g)
         points.append(

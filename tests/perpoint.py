@@ -4,14 +4,17 @@ These are the one-metric-at-a-time kernels the stacked ones replaced,
 kept verbatim as the bit-for-bit reference for ``tests/test_stacked.py``:
 the ``tensordot`` covariant derivative, the per-basis so(3) action loop,
 the per-point so(g) and Ricci stabilizer, the per-point Singer residual
-test, the per-point Ricci spectrum and the per-point analysis.
+test, the per-point Ricci spectrum and its cluster decisions, the
+per-point analysis and the per-point index of symmetry.
 """
 
 import numpy as np
 
+from lieiso.errors import InternalConsistencyError
 from lieiso.isometry import PARALLEL_TOL, MetricAnalysis, _normalize_isotropy
-from lieiso.linalg import RANK_TOL, canonical_matrix_basis
+from lieiso.linalg import PIVOT_TOL, RANK_TOL, canonical_matrix_basis
 from lieiso.metrics import SO3_BASIS, ricci_clusters
+from lieiso.symmetry import CERTIFICATE_TOL, SymmetryReport
 
 
 def levi_civita(alg, g):
@@ -100,6 +103,7 @@ def analyze_metric(alg, g):
     ric = ricci(curv)
     linv, sym = ricci_frame(g, ric)
     evals, evecs = np.linalg.eigh(sym)
+    multiplicity, simple, _ = ricci_clusters(evals)
     return MetricAnalysis(
         alg=alg,
         g=g,
@@ -112,5 +116,38 @@ def analyze_metric(alg, g):
         ricci_axes=linv.T @ evecs,
         scalar=float(np.trace(np.linalg.solve(g.coeffs, ric))),
         symmetric=float(np.max(np.abs(nabla_r))) <= PARALLEL_TOL * max(1.0, float(np.max(np.abs(curv)))),
+        constant_curvature=bool(multiplicity == 3),
+        ricci_simple=int(simple) if multiplicity == 2 else None,
         isotropy=singer_isotropy(g, linv, evals, evecs, (curv, nabla_r)),
     )
+
+
+def index_of_symmetry(a):
+    frame, k = a.frame, len(a.isotropy)
+    coords = np.einsum("kab,iab->ik", SO3_BASIS, frame.T @ a.g.coeffs @ a.killing_derivatives @ frame)
+    c = coords[:3].T @ frame
+    index, residual = 3, 0.0
+    if k < 3:
+        m = c
+        if k == 1:
+            w = coords[3] / np.linalg.norm(coords[3])
+            m = c - np.outer(w, w @ c)
+        _, s, vt = np.linalg.svd(m)
+        scale = float(np.linalg.norm(c))
+        kernel = vt[int(np.sum(s > RANK_TOL * scale)):]
+        index = len(kernel)
+        residual = float(np.max(np.abs(m @ kernel.T))) / scale if index else 0.0
+    if index == 2:
+        raise InternalConsistencyError("index of symmetry 2 is impossible in this family")
+    if a.symmetric and index != 3:
+        raise InternalConsistencyError("parallel curvature must give the full index")
+    if a.constant_curvature and index != 3:
+        raise InternalConsistencyError("constant curvature must give the full index")
+    if residual > CERTIFICATE_TOL:
+        raise InternalConsistencyError(f"symmetry certificate residual {residual:.3e} too large")
+    generator = None
+    if index == 1:
+        v = frame @ kernel[0]
+        generator = v / v[np.argmax(np.abs(v) > PIVOT_TOL * np.max(np.abs(v)))]
+        generator[np.abs(generator) < PIVOT_TOL] = 0.0
+    return SymmetryReport(index=index, generator=generator, certificate_residual=residual)

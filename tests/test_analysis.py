@@ -8,7 +8,7 @@ import pytest
 
 from lieiso.algebra import make_algebra_c, make_algebra_I
 from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
-from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra
+from lieiso.metrics import intersect_skew, metric_from_table, ricci_clusters, skew_algebra
 from lieiso.reports import build_report, stratification_rows, to_json
 from lieiso.symmetry import index_of_symmetry, scan_moduli
 
@@ -16,6 +16,7 @@ from lieiso.symmetry import index_of_symmetry, scan_moduli
 # submodule of the same name as an attribute of ``lieiso``
 LEVI_CIVITA = importlib.import_module("lieiso.curvature").levi_civita
 SINGER_ISOTROPY = importlib.import_module("lieiso.isometry").singer_isotropy
+RICCI_CLUSTERS = importlib.import_module("lieiso.metrics").ricci_clusters
 RANK_AND_KERNEL = importlib.import_module("lieiso.linalg").rank_and_kernel
 
 
@@ -108,6 +109,38 @@ def test_table_solves_singer_once_per_sample(monkeypatch):
     assert len(singer) == 1
 
 
+def _count_svds_in_symmetry(monkeypatch) -> list:
+    """Record the shape of every np.linalg.svd call made from lieiso.symmetry."""
+    svd, shapes = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "lieiso.symmetry":
+            shapes.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("op,solved", [
+    (lambda: scan_moduli("c", 0.0, grid_mu=2, grid_nu=1), 3),
+    (lambda: scan_moduli("c", 0.25, grid_mu=4, grid_nu=2), 10),
+    (lambda: stratification_rows("c", 0.0), 6),
+    (lambda: stratification_rows("c", 4.0), 6),
+], ids=["scan_c0", "scan_c0.25", "table_c0", "table_c4"])
+def test_index_and_ricci_decisions_run_once_per_stack(monkeypatch, op, solved):
+    # one SVD covers the index of every point of the stack whose isotropy is
+    # below so(g) (at c = 4, the three samples of the line mu = c have all of
+    # it), and the Ricci clusters are decided once, in analyze_metrics:
+    # classify and the index read the analysis (c = 0 has points on the
+    # product sheet g_nu)
+    clusters = _count_calls(monkeypatch, RICCI_CLUSTERS)
+    shapes = _count_svds_in_symmetry(monkeypatch)
+    op()
+    assert len(clusters) == 1
+    assert shapes == [(solved, 3, 3)]
+
+
 def test_shared_analysis_gives_the_same_answers(monkeypatch):
     alg = make_algebra_c(0.0)
     g = metric_from_table(alg, mu=0.7, nu=1.3)
@@ -163,7 +196,8 @@ def test_skew_algebra_and_its_stabilizers_make_no_rank_decision(monkeypatch, n):
     algebras = skew_algebra(frames, grams)
     assert algebras.shape == (n, 3, 3, 3)
     evals, evecs = np.linalg.eigh(forms)
-    assert [len(s) for s in intersect_skew(algebras, evals, evecs)] == [1 if k == 1 else 0 for k in range(n)]
+    spaces = intersect_skew(algebras, *ricci_clusters(evals)[:2], evecs)
+    assert [len(s) for s in spaces] == [1 if k == 1 else 0 for k in range(n)]
     assert calls == []
 
 

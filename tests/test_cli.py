@@ -470,6 +470,19 @@ def test_scan_exits_1_when_its_audit_fails(capsys, monkeypatch, fmt):
         assert len(list(csv.DictReader(io.StringIO(out)))) == len(failed.points)
 
 
+@pytest.mark.parametrize("order", [("-0.0", "0.0"), ("0.0", "-0.0")])
+def test_scans_at_c_zero_print_the_sign_they_were_given(capsys, order):
+    # both groups snap onto the same boundary lines, which are built once
+    # per group, but each scan prints its own c, in either order
+    for c in order:
+        code, out, _ = run_cli(capsys, "scan", "--family", "c", "--c", c, "--grid-mu", "2", "--grid-nu", "1")
+        assert code == 0
+        payload = json.loads(out)
+        negative = c.startswith("-")
+        assert {row["c"] for row in payload["points"]} == {"-0" if negative else "0"}
+        assert payload["summary"]["c"] == 0.0 and np.signbit(payload["summary"]["c"]) == negative
+
+
 def test_scan_grid_flags(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -18,7 +18,7 @@ from lieiso.algebra import make_algebra_c
 from lieiso.curvature import levi_civita
 from lieiso.errors import LieIsoError
 from lieiso.isometry import analyze_metrics, classify_isometry_group, killing_algebra
-from lieiso.metrics import intersect_skew, metric_from_table, skew_algebra, stratum_table
+from lieiso.metrics import intersect_skew, metric_from_table, ricci_clusters, skew_algebra, stratum_table
 from lieiso.symmetry import index_of_symmetry
 from oracles import curvature_jets, frame_stabilizer, solve_singer
 
@@ -105,7 +105,7 @@ def test_decade_sweep_isotropy_has_the_dimension_of_the_svd_solve(c):
     evals, evecs = np.linalg.eigh(forms)
     algebras = skew_algebra(frames, grams)
     mismatched = []
-    for n, (g, a, space) in enumerate(zip(gs, analyses, intersect_skew(algebras, evals, evecs))):
+    for n, (g, a, space) in enumerate(zip(gs, analyses, intersect_skew(algebras, *ricci_clusters(evals)[:2], evecs))):
         reference = frame_stabilizer(algebras[n], forms[n])
         g2 = solve_singer(reference, [t[n] for t in tensors])
         g1 = solve_singer(reference, [t[n] for t in tensors[:2]])

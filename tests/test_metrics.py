@@ -214,7 +214,7 @@ def _stabilizer(spectrum, seed):
     form = q @ np.diag(spectrum) @ q.T
     evals, evecs = np.linalg.eigh(form)
     algebra = skew_algebra(FRAME[None], GRAM[None])
-    return form, evals, evecs, algebra[0], intersect_skew(algebra, evals[None], evecs[None])[0]
+    return form, evals, evecs, algebra[0], intersect_skew(algebra, *ricci_clusters(evals[None])[:2], evecs[None])[0]
 
 
 @pytest.mark.parametrize("spectrum,dim", [
